@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -523,6 +522,7 @@ type aggregator struct {
 	goodputs []float64
 	rtts     []float64
 	rollup   *metrics.Rollup
+	line     []byte // reused sink line buffer
 }
 
 func newAggregator(spec *Spec, runs int) *aggregator {
@@ -576,12 +576,12 @@ func (a *aggregator) collect(rec RunRecord, opts *Options) error {
 		a.rtts = append(a.rtts, float64(rec.MeanRTT))
 	}
 	if opts.Sink != nil {
-		line, err := json.Marshal(rec)
+		line, err := appendJSONRecord(a.line[:0], &rec)
 		if err != nil {
 			return fmt.Errorf("campaign: marshal record %d: %w", rec.Index, err)
 		}
-		line = append(line, '\n')
-		if _, err := opts.Sink.Write(line); err != nil {
+		a.line = append(line, '\n')
+		if _, err := opts.Sink.Write(a.line); err != nil {
 			return fmt.Errorf("campaign: sink write: %w", err)
 		}
 	}
@@ -604,5 +604,9 @@ func (a *aggregator) finish() *Summary {
 	if a.rollup.Runs() > 0 {
 		a.sum.MetricsTotals = a.rollup.Totals()
 	}
-	return &a.sum
+	// A copy: a pointer into the aggregator would keep its line buffer
+	// and per-run tallies alive for as long as the caller keeps the
+	// Summary (the service keeps one per finished job).
+	sum := a.sum
+	return &sum
 }

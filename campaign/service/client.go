@@ -133,15 +133,27 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 // (or ctx ends). Each journal line is written to sink verbatim — byte
 // for byte what an in-process run would have written — and, when
 // onRecord is non-nil, also decoded and handed over for live progress.
+// A complete line that does not decode as a record is an error naming
+// its line number; a torn final line without its newline (the stream
+// ended mid-record) is passed to sink but not decoded.
 func (c *Client) StreamRecords(ctx context.Context, id string, sink io.Writer, onRecord func(campaign.RunRecord)) error {
 	resp, err := c.send(ctx, http.MethodGet, "/v1/campaigns/"+url.PathEscape(id)+"/records", nil, "")
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	r := bufio.NewReaderSize(resp.Body, 1<<20)
-	for {
-		line, err := r.ReadBytes('\n')
+	r := bufio.NewReaderSize(resp.Body, 64<<10)
+	var long []byte // reused for lines longer than the reader's buffer
+	for n := 1; ; n++ {
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		if len(line) > 0 {
 			if sink != nil {
 				if _, werr := sink.Write(line); werr != nil {
@@ -150,9 +162,10 @@ func (c *Client) StreamRecords(ctx context.Context, id string, sink io.Writer, o
 			}
 			if onRecord != nil && line[len(line)-1] == '\n' {
 				var rec campaign.RunRecord
-				if json.Unmarshal(line[:len(line)-1], &rec) == nil {
-					onRecord(rec)
+				if derr := json.Unmarshal(line[:len(line)-1], &rec); derr != nil {
+					return fmt.Errorf("service: record stream line %d: %w", n, derr)
 				}
+				onRecord(rec)
 			}
 		}
 		if err == io.EOF {

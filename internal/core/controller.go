@@ -222,8 +222,11 @@ func (c *Controller) LastSeen(n NodeID) (time.Duration, bool) {
 
 // Snapshot implements the uniform metrics hook: INIT distribution health
 // and launch liveness (surfaced as node="testbed", layer="controller").
-func (c *Controller) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (c *Controller) Snapshot() metrics.Snapshot { return metrics.Collect(c.AppendSnapshot) }
+
+// AppendSnapshot appends the Snapshot readings to sn without allocating
+// a fresh Snapshot (the registry's gather path).
+func (c *Controller) AppendSnapshot(sn *metrics.Snapshot) {
 	sn.Counter("init_chunks_sent", c.Stats.ChunksSent)
 	sn.Counter("init_chunks_resent", c.Stats.ChunksResent)
 	sn.Counter("init_retries", c.Stats.Retries)
@@ -240,7 +243,6 @@ func (c *Controller) Snapshot() metrics.Snapshot {
 	}
 	sn.Gauge("started", b2f(c.started))
 	sn.Gauge("launch_failed", b2f(c.result.LaunchFailed))
-	return sn
 }
 
 // Launch distributes the tables to every node, then starts the scenario

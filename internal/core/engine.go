@@ -211,8 +211,11 @@ func (e *Engine) Failed() bool { return e.failed }
 
 // Snapshot implements the uniform metrics hook: classification work,
 // fault injection counts and control-plane traffic.
-func (e *Engine) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (e *Engine) Snapshot() metrics.Snapshot { return metrics.Collect(e.AppendSnapshot) }
+
+// AppendSnapshot appends the Snapshot readings to sn without allocating
+// a fresh Snapshot (the registry's gather path).
+func (e *Engine) AppendSnapshot(sn *metrics.Snapshot) {
 	sn.Counter("packets_intercepted", e.Stats.PacketsIntercepted)
 	sn.Counter("packets_matched", e.Stats.PacketsMatched)
 	sn.Counter("counter_updates", e.Stats.CounterUpdates)
@@ -237,7 +240,6 @@ func (e *Engine) Snapshot() metrics.Snapshot {
 	} else {
 		sn.Gauge("failed", 0)
 	}
-	return sn
 }
 
 // CounterValue returns a counter's current value at this engine (the

@@ -119,11 +119,13 @@ func (p *FramePool) Reset() {
 
 // Snapshot implements the uniform metrics hook: recycling effectiveness
 // for the observability layer (surfaced as node="testbed", layer="pool").
-func (p *FramePool) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (p *FramePool) Snapshot() metrics.Snapshot { return metrics.Collect(p.AppendSnapshot) }
+
+// AppendSnapshot appends the Snapshot readings to sn without allocating
+// a fresh Snapshot (the registry's gather path).
+func (p *FramePool) AppendSnapshot(sn *metrics.Snapshot) {
 	sn.Counter("gets", p.Gets)
 	sn.Counter("hits", p.Hits)
 	sn.Counter("puts", p.Puts)
 	sn.Gauge("free_frames", float64(len(p.free)))
-	return sn
 }

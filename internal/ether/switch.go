@@ -326,23 +326,34 @@ func (sw *Switch) PortStats(idx int) (Stats, error) {
 	return sw.ports[idx].nic.Stats, nil
 }
 
+// PortQueueDrops sums the transmit-queue drops over the switch's ports.
+func (sw *Switch) PortQueueDrops() uint64 {
+	var drops uint64
+	for _, p := range sw.ports {
+		drops += p.nic.Stats.QueueDrops
+	}
+	return drops
+}
+
 // Snapshot implements the uniform metrics hook: forwarding counters,
 // port-aggregate drops, and a downlink utilization gauge (fraction of the
 // aggregate switch→host capacity spent serializing frames so far).
-func (sw *Switch) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (sw *Switch) Snapshot() metrics.Snapshot { return metrics.Collect(sw.AppendSnapshot) }
+
+// AppendSnapshot appends the Snapshot readings to sn without allocating
+// a fresh Snapshot (the registry's gather path).
+func (sw *Switch) AppendSnapshot(sn *metrics.Snapshot) {
 	sn.Counter("ingress_frames", sw.IngressFrames)
 	sn.Counter("forwarded_frames", sw.ForwardedFrames)
 	sn.Counter("flooded_frames", sw.FloodedFrames)
 	sn.Counter("dropped_frames", sw.DroppedFrames)
-	var drops, txBytes uint64
+	var txBytes uint64
 	var queued int
 	for _, p := range sw.ports {
-		drops += p.nic.Stats.QueueDrops
 		txBytes += p.nic.Stats.TxBytes
 		queued += len(p.nic.txq)
 	}
-	sn.Counter("port_queue_drops", drops)
+	sn.Counter("port_queue_drops", sw.PortQueueDrops())
 	sn.Gauge("port_queued_frames", float64(queued))
 	sn.Gauge("ports", float64(len(sw.ports)))
 	var trunks, blocked, failed int
@@ -370,7 +381,6 @@ func (sw *Switch) Snapshot() metrics.Snapshot {
 	} else {
 		sn.Gauge("utilization", 0)
 	}
-	return sn
 }
 
 // LinkConfig parametrizes a full-duplex point-to-point link.

@@ -17,8 +17,9 @@
 //
 // Everything here runs inside the single-goroutine simulation, so the
 // registry is intentionally lock-free: determinism comes from the event
-// scheduler, and Gather sorts by key so exports are byte-stable across
-// registration orders.
+// scheduler, and Gather orders by key so exports are byte-stable across
+// registration orders. The order is computed once into a cached Layout
+// (see GatherValues) and re-applied on every gather, not re-sorted.
 package metrics
 
 import (
@@ -190,6 +191,15 @@ func (s Snapshot) Get(name string) (float64, bool) {
 	return 0, false
 }
 
+// Collect runs an append-style hook (see Registry.RegisterAppender) into
+// a fresh Snapshot: the allocating form every layer's Snapshot() method
+// wraps its AppendSnapshot with.
+func Collect(fn func(*Snapshot)) Snapshot {
+	var s Snapshot
+	fn(&s)
+	return s
+}
+
 // Sample is one gathered reading, ready for export. Counters and gauges
 // carry Value; histograms carry Count, Sum and Buckets instead.
 type Sample struct {
@@ -204,6 +214,7 @@ type Sample struct {
 }
 
 type instrument struct {
+	key  Key
 	kind Kind
 	c    *Counter
 	g    *Gauge
@@ -212,14 +223,21 @@ type instrument struct {
 
 type source struct {
 	node, layer string
-	fn          func() Snapshot
+	fn          func(*Snapshot)
 }
 
 // Registry holds every instrument and pull source of one testbed.
 // Construct with NewRegistry; the zero value is not usable.
 type Registry struct {
 	instruments map[Key]*instrument
+	ordered     []*instrument // creation order: the first gather positions
 	sources     []source
+
+	// Reused gather state: the readings of the latest gather, where each
+	// source's readings end in it, and the Layout that describes them.
+	buf    Snapshot
+	ends   []int
+	layout *Layout
 }
 
 // NewRegistry returns an empty registry.
@@ -260,8 +278,9 @@ func (r *Registry) Histogram(node, layer, name string, bounds []float64) *Histog
 func (r *Registry) get(k Key, kind Kind) *instrument {
 	in, ok := r.instruments[k]
 	if !ok {
-		in = &instrument{kind: kind}
+		in = &instrument{key: k, kind: kind}
 		r.instruments[k] = in
+		r.ordered = append(r.ordered, in)
 		return in
 	}
 	if in.kind != kind {
@@ -276,9 +295,10 @@ func (r *Registry) get(k Key, kind Kind) *instrument {
 // pull sources, so a reused testbed reports into the same registry
 // without re-registering anything. Pull sources read live layer state
 // and need no zeroing here — resetting the layers resets their
-// readings.
+// readings. The cached Layout survives: a Reset changes values, not
+// shape.
 func (r *Registry) Reset() {
-	for _, in := range r.instruments {
+	for _, in := range r.ordered {
 		switch in.kind {
 		case KindCounter:
 			if in.c != nil {
@@ -303,7 +323,18 @@ func (r *Registry) Reset() {
 // RegisterSource installs a pull hook: fn is invoked on every Gather and
 // its readings are reported under (node, layer).
 func (r *Registry) RegisterSource(node, layer string, fn func() Snapshot) {
+	r.RegisterAppender(node, layer, func(s *Snapshot) {
+		s.Values = append(s.Values, fn().Values...)
+	})
+}
+
+// RegisterAppender installs an append-style pull hook: on every gather
+// fn appends its readings (through s.Counter/s.Gauge) to the registry's
+// reused buffer, so gathering allocates nothing per source. It returns
+// the source's index (see Layout.Source).
+func (r *Registry) RegisterAppender(node, layer string, fn func(s *Snapshot)) int {
 	r.sources = append(r.sources, source{node: node, layer: layer, fn: fn})
+	return len(r.sources) - 1
 }
 
 // Instruments reports how many direct instruments exist (pull sources
@@ -313,36 +344,59 @@ func (r *Registry) Instruments() int { return len(r.instruments) }
 // Gather reads every direct instrument and pull source and returns the
 // samples sorted by (node, layer, name) — byte-stable regardless of
 // registration order, which keeps sampled series and exports
-// deterministic.
+// deterministic. The sort order is the cached Layout's permutation, so
+// a gather costs one pass over the readings, not a sort.
 func (r *Registry) Gather() []Sample {
-	out := make([]Sample, 0, len(r.instruments)+len(r.sources)*8)
-	for k, in := range r.instruments {
-		s := Sample{Node: k.Node, Layer: k.Layer, Name: k.Name, Kind: in.kind}
+	lay, vals := r.GatherValues()
+	out := make([]Sample, len(vals))
+	for i, raw := range lay.sorted {
+		k := lay.keys[raw]
+		s := Sample{Node: k.Node, Layer: k.Layer, Name: k.Name, Kind: lay.kinds[raw], Value: vals[raw].Value}
+		if s.Kind == KindHistogram && int(raw) < lay.direct {
+			h := r.ordered[raw].h
+			s.Count = h.Count()
+			s.Sum = h.Sum()
+			s.Buckets = h.Buckets()
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// GatherValues reads every direct instrument and pull source into the
+// registry's reused buffer, in registration order, and returns it with
+// the Layout describing each position (histograms read as 0 there; use
+// Gather for their buckets). The buffer is overwritten by the next
+// gather; the Layout is immutable and may be retained. The Layout is
+// built at the first gather and rebuilt only when the registry's shape
+// changes: a new instrument or source, or a source whose reading names
+// or kinds differ from the last gather's.
+func (r *Registry) GatherValues() (*Layout, []SnapshotValue) {
+	lay := r.layout
+	valid := lay != nil && lay.direct == len(r.ordered) && len(lay.spans) == len(r.sources)
+	vals := r.buf.Values[:0]
+	for _, in := range r.ordered {
+		v := SnapshotValue{Name: in.key.Name, Kind: in.kind}
 		switch in.kind {
 		case KindCounter:
-			s.Value = in.c.Value()
+			v.Value = in.c.v
 		case KindGauge:
-			s.Value = in.g.Value()
-		case KindHistogram:
-			s.Count = in.h.Count()
-			s.Sum = in.h.Sum()
-			s.Buckets = in.h.Buckets()
+			v.Value = in.g.v
 		}
-		out = append(out, s)
+		vals = append(vals, v)
 	}
-	for _, src := range r.sources {
-		sn := src.fn()
-		for _, v := range sn.Values {
-			out = append(out, Sample{
-				Node: src.node, Layer: src.layer, Name: v.Name,
-				Kind: v.Kind, Value: v.Value,
-			})
+	r.buf.Values = vals
+	r.ends = r.ends[:0]
+	for i := range r.sources {
+		start := len(r.buf.Values)
+		r.sources[i].fn(&r.buf)
+		r.ends = append(r.ends, len(r.buf.Values))
+		if valid && !lay.matches(i, r.buf.Values[start:]) {
+			valid = false
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a := Key{out[i].Node, out[i].Layer, out[i].Name}
-		b := Key{out[j].Node, out[j].Layer, out[j].Name}
-		return a.less(b)
-	})
-	return out
+	if !valid {
+		r.layout = r.buildLayout()
+	}
+	return r.layout, r.buf.Values
 }

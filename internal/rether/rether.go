@@ -229,8 +229,11 @@ func (l *Layer) Holding() bool { return l.holder }
 
 // Snapshot implements the uniform metrics hook: token rotation,
 // membership and reservation counters plus instantaneous queue depths.
-func (l *Layer) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (l *Layer) Snapshot() metrics.Snapshot { return metrics.Collect(l.AppendSnapshot) }
+
+// AppendSnapshot appends the Snapshot readings to sn without allocating
+// a fresh Snapshot (the registry's gather path).
+func (l *Layer) AppendSnapshot(sn *metrics.Snapshot) {
 	sn.Counter("tokens_sent", l.Stats.TokensSent)
 	sn.Counter("token_retransmissions", l.Stats.TokenRetransmissions)
 	sn.Counter("tokens_received", l.Stats.TokensReceived)
@@ -251,7 +254,6 @@ func (l *Layer) Snapshot() metrics.Snapshot {
 	sn.Gauge("ring_size", float64(len(l.ring)))
 	sn.Gauge("be_queue_len", float64(len(l.beQueue)))
 	sn.Gauge("rt_queue_len", float64(len(l.rtQueue)))
-	return sn
 }
 
 // Start begins protocol operation: ring index 0 creates the initial

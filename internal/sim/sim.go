@@ -158,14 +158,16 @@ func (s *Scheduler) PeekTime() (time.Duration, bool) {
 
 // Snapshot implements the uniform metrics hook for the scheduler itself:
 // how much work the simulation has done and how much is queued.
-func (s *Scheduler) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (s *Scheduler) Snapshot() metrics.Snapshot { return metrics.Collect(s.AppendSnapshot) }
+
+// AppendSnapshot appends the Snapshot readings to sn without allocating
+// a fresh Snapshot (the registry's gather path).
+func (s *Scheduler) AppendSnapshot(sn *metrics.Snapshot) {
 	sn.Counter("events_executed", s.executed)
 	sn.Counter("events_scheduled", s.seq)
 	sn.Counter("events_recycled", s.recycled)
 	sn.Gauge("events_pending", float64(len(s.queue)))
 	sn.Gauge("free_list_len", float64(len(s.free)))
-	return sn
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the

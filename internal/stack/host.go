@@ -120,12 +120,14 @@ func newIPStack(h *Host) *IPStack {
 }
 
 // Snapshot implements the uniform metrics hook for the IP layer.
-func (s *IPStack) Snapshot() metrics.Snapshot {
-	var sn metrics.Snapshot
+func (s *IPStack) Snapshot() metrics.Snapshot { return metrics.Collect(s.AppendSnapshot) }
+
+// AppendSnapshot appends the Snapshot readings to sn without allocating
+// a fresh Snapshot (the registry's gather path).
+func (s *IPStack) AppendSnapshot(sn *metrics.Snapshot) {
 	sn.Counter("rx_packets", s.RxPackets)
 	sn.Counter("rx_header_errors", s.RxHeaderErrors)
 	sn.Counter("rx_no_handler", s.RxNoHandler)
-	return sn
 }
 
 // Register installs the handler for an IP protocol number.

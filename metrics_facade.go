@@ -3,9 +3,6 @@ package virtualwire
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
-	"strconv"
 	"time"
 
 	"virtualwire/internal/metrics"
@@ -76,111 +73,6 @@ type MetricsSummary struct {
 	Totals map[string]float64 `json:"totals,omitempty"`
 }
 
-// MarshalJSON writes the summary without reflection. A summary rides in
-// every campaign record, and encoding/json's map encoder (sort + copy
-// every key and value through reflect.Value) dominated the per-run
-// allocation profile. Output is identical to the reflected encoding:
-// fields in declaration order, zero values omitted, Totals keys sorted.
-func (m MetricsSummary) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 40+len(m.Totals)*40)
-	b = append(b, `{"instruments":`...)
-	b = strconv.AppendInt(b, int64(m.Instruments), 10)
-	if m.SampledPoints != 0 {
-		b = append(b, `,"sampled_points":`...)
-		b = strconv.AppendInt(b, int64(m.SampledPoints), 10)
-	}
-	if m.SampleInterval != 0 {
-		b = append(b, `,"sample_interval_ns":`...)
-		b = strconv.AppendInt(b, int64(m.SampleInterval), 10)
-	}
-	if len(m.Totals) != 0 {
-		b = append(b, `,"totals":{`...)
-		keys := make([]string, 0, len(m.Totals))
-		for k := range m.Totals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			// Keys are "layer/name" identifiers: no characters that
-			// JSON string encoding would escape.
-			b = append(b, '"')
-			b = append(b, k...)
-			b = append(b, `":`...)
-			b = appendJSONFloat(b, m.Totals[k])
-		}
-		b = append(b, '}')
-	}
-	b = append(b, '}')
-	return b, nil
-}
-
-// appendJSONFloat formats a float64 exactly as encoding/json does, so
-// the custom marshaller above stays byte-compatible with the reflected
-// one.
-func appendJSONFloat(b []byte, f float64) []byte {
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json trims "e-09" style exponents to "e-9".
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// totalsKey returns the interned "layer/name" Totals key, so a summary
-// gathered every run concatenates each distinct key once per testbed
-// lifetime instead of once per counter per run.
-func (tb *Testbed) totalsKey(layer, name string) string {
-	k := [2]string{layer, name}
-	if s, ok := tb.totalsKeys[k]; ok {
-		return s
-	}
-	if tb.totalsKeys == nil {
-		tb.totalsKeys = make(map[[2]string]string)
-	}
-	s := layer + "/" + name
-	tb.totalsKeys[k] = s
-	return s
-}
-
-func (tb *Testbed) metricsSummary() MetricsSummary {
-	final := tb.reg.Gather()
-	sum := MetricsSummary{
-		Instruments: len(final),
-		Totals:      make(map[string]float64, 64),
-	}
-	for _, s := range final {
-		if s.Kind != metrics.KindCounter {
-			continue
-		}
-		// Free-list hit counters depend on whether the run started from a
-		// fresh or a reused (Reset) testbed — the only observable the warm
-		// pools change. Excluding them keeps RunReports bit-identical
-		// across the two paths; the full readings stay available from
-		// Metrics()/MetricsSeries.
-		if (s.Layer == "pool" && s.Name == "hits") ||
-			(s.Layer == "scheduler" && s.Name == "events_recycled") {
-			continue
-		}
-		sum.Totals[tb.totalsKey(s.Layer, s.Name)] += s.Value
-	}
-	if tb.sampler != nil {
-		sum.SampledPoints = tb.sampler.Len()
-		sum.SampleInterval = tb.sampler.Interval()
-	}
-	return sum
-}
-
 // Snapshot returns this node's current instrument readings for one
 // layer. Valid layers are "engine", "nic", "ip", "tcp", "rll" and
 // "rether"; ok is false for a layer the node does not run (and for "tcp"
@@ -227,7 +119,9 @@ func (n *Node) SnapshotLayers() []string {
 }
 
 // registerMetricSources wires every built layer into the registry with
-// the uniform Snapshot hook; called once from build().
+// the uniform append-style Snapshot hook; called once from build(). It
+// also records each node's own sources, in layer-name order, for the
+// NodeReports of every RunReport.
 func (tb *Testbed) registerMetricSources() {
 	if tb.shards != nil {
 		// Sharded engine: one aggregate source each for the per-shard
@@ -235,38 +129,42 @@ func (tb *Testbed) registerMetricSources() {
 		// (every event executes on exactly one queue, every frame cycles
 		// through exactly one pool), so reports match the single-queue
 		// readings byte for byte.
-		tb.reg.RegisterSource(MetricsNode, "scheduler", tb.shardSchedulerSnapshot)
-		tb.reg.RegisterSource(MetricsNode, "pool", tb.shardPoolSnapshot)
+		tb.reg.RegisterAppender(MetricsNode, "scheduler", tb.appendShardSchedulerSnapshot)
+		tb.reg.RegisterAppender(MetricsNode, "pool", tb.appendShardPoolSnapshot)
 	} else {
-		tb.reg.RegisterSource(MetricsNode, "scheduler", tb.sched.Snapshot)
-		tb.reg.RegisterSource(MetricsNode, "pool", tb.pool.Snapshot)
+		tb.reg.RegisterAppender(MetricsNode, "scheduler", tb.sched.AppendSnapshot)
+		tb.reg.RegisterAppender(MetricsNode, "pool", tb.pool.AppendSnapshot)
 	}
 	if tb.ctl != nil {
-		tb.reg.RegisterSource(MetricsNode, "controller", tb.ctl.Snapshot)
+		tb.reg.RegisterAppender(MetricsNode, "controller", tb.ctl.AppendSnapshot)
 	}
 	if tb.sw != nil {
-		tb.reg.RegisterSource(MetricsNode, "switch", tb.sw.Snapshot)
+		tb.reg.RegisterAppender(MetricsNode, "switch", tb.sw.AppendSnapshot)
 	}
 	if len(tb.fabric) > 0 {
 		// The fabric registers as one aggregate source: per-switch sources
 		// at fat-tree scale (hundreds of switches) would swamp every
 		// gather and RunReport with keys nobody compares.
-		tb.reg.RegisterSource(MetricsNode, "fabric", tb.fabricSnapshot)
+		tb.reg.RegisterAppender(MetricsNode, "fabric", tb.appendFabricSnapshot)
 	}
 	if tb.bus != nil {
-		tb.reg.RegisterSource(MetricsNode, "bus", tb.bus.Snapshot)
+		tb.reg.RegisterAppender(MetricsNode, "bus", tb.bus.AppendSnapshot)
 	}
 	for _, n := range tb.nodes {
-		tb.reg.RegisterSource(n.name, "nic", n.host.NIC.Snapshot)
-		tb.reg.RegisterSource(n.name, "ip", n.host.IPv4.Snapshot)
-		tb.reg.RegisterSource(n.name, "engine", n.engine.Snapshot)
-		tb.reg.RegisterSource(n.name, "tcp", n.tcp.Snapshot)
-		if n.rll != nil {
-			tb.reg.RegisterSource(n.name, "rll", n.rll.Snapshot)
+		// Registered in layer-name order: the order NodeReport lists them.
+		add := func(layer string, fn func(*MetricsSnapshot)) {
+			n.metricSrcs = append(n.metricSrcs, nodeSource{layer, tb.reg.RegisterAppender(n.name, layer, fn)})
 		}
+		add("engine", n.engine.AppendSnapshot)
+		add("ip", n.host.IPv4.AppendSnapshot)
+		add("nic", n.host.NIC.AppendSnapshot)
 		if n.rether != nil {
-			tb.reg.RegisterSource(n.name, "rether", n.rether.Snapshot)
+			add("rether", n.rether.AppendSnapshot)
 		}
+		if n.rll != nil {
+			add("rll", n.rll.AppendSnapshot)
+		}
+		add("tcp", n.tcp.AppendSnapshot)
 	}
 	if tb.cfg.MetricsSampleInterval > 0 {
 		tb.sampler = metrics.NewSampler(tb.reg,
@@ -291,4 +189,86 @@ func (tb *Testbed) WriteMetricsFile(w io.Writer, format string) error {
 		return metrics.WritePrometheus(w, s.Final)
 	}
 	return fmt.Errorf("virtualwire: unknown metrics format %q (want json, csv or prom)", format)
+}
+
+// reportPlan is the part of report assembly that depends only on the
+// registry's Layout, derived once per Layout instead of once per run.
+type reportPlan struct {
+	lay      *metrics.Layout
+	readings int       // values across every node's layers
+	layers   int       // layers across every node
+	skip     []bool    // per totals slot: left out of MetricsSummary.Totals
+	kept     int       // totals slots not skipped
+	acc      []float64 // per totals slot: the run's sum (scratch)
+}
+
+func (p *reportPlan) init(tb *Testbed, lay *metrics.Layout) {
+	*p = reportPlan{lay: lay, acc: make([]float64, len(lay.Totals()))}
+	for _, n := range tb.nodes {
+		for _, s := range n.metricSrcs {
+			names, _ := lay.Source(s.src)
+			p.readings += len(names)
+			p.layers++
+		}
+	}
+	p.skip = make([]bool, len(lay.Totals()))
+	for i, k := range lay.Totals() {
+		// Free-list hit counters depend on whether the run started from
+		// a fresh or a reused (Reset) testbed — the only observable the
+		// warm pools change. Excluding them keeps RunReports
+		// bit-identical across the two paths; the full readings stay
+		// available from Metrics()/MetricsSeries.
+		p.skip[i] = k == "pool/hits" || k == "scheduler/events_recycled"
+		if !p.skip[i] {
+			p.kept++
+		}
+	}
+}
+
+// gatherReport fills the report's per-node readings and metrics digest
+// from one registry gather. The node values are copied into a single
+// backing array owned by the report, so it stays valid after the
+// testbed is Reset and reused; reading names are shared with the
+// immutable Layout.
+func (tb *Testbed) gatherReport(rep *RunReport) {
+	lay, vals := tb.reg.GatherValues()
+	p := &tb.report
+	if p.lay != lay {
+		p.init(tb, lay)
+	}
+
+	values := make([]float64, p.readings)
+	layers := make([]LayerReadings, p.layers)
+	rep.Nodes = make([]NodeReport, len(tb.nodes))
+	v, l := 0, 0
+	for i, n := range tb.nodes {
+		first := l
+		for _, s := range n.metricSrcs {
+			names, pos := lay.Source(s.src)
+			out := values[v : v+len(names) : v+len(names)]
+			for j, at := range pos {
+				out[j] = vals[at].Value
+			}
+			layers[l] = LayerReadings{Layer: s.layer, Names: names, Values: out}
+			v += len(names)
+			l++
+		}
+		rep.Nodes[i] = NodeReport{Name: n.name, Crashed: n.engine.Failed(), Layers: layers[first:l:l]}
+	}
+
+	clear(p.acc)
+	lay.SumCounters(vals, p.acc)
+	rep.Metrics = MetricsSummary{
+		Instruments: len(vals),
+		Totals:      make(map[string]float64, p.kept),
+	}
+	for i, k := range lay.Totals() {
+		if !p.skip[i] {
+			rep.Metrics.Totals[k] = p.acc[i]
+		}
+	}
+	if tb.sampler != nil {
+		rep.Metrics.SampledPoints = tb.sampler.Len()
+		rep.Metrics.SampleInterval = tb.sampler.Interval()
+	}
 }

@@ -55,74 +55,91 @@ type RunReport struct {
 
 // NodeReport is one host's slice of a RunReport: its terminal state and
 // every layer's instrument readings (the same values Node.Snapshot
-// returns, keyed layer then metric name).
+// returns).
 type NodeReport struct {
-	Name    string                        `json:"name"`
-	Crashed bool                          `json:"crashed,omitempty"`
-	Layers  map[string]map[string]float64 `json:"layers,omitempty"`
+	Name    string     `json:"name"`
+	Crashed bool       `json:"crashed,omitempty"`
+	Layers  NodeLayers `json:"layers,omitempty"`
 }
 
-// MarshalJSON writes the report without reflection, like
-// MetricsSummary.MarshalJSON: the nested Layers maps otherwise dominate
-// per-record encoding cost in campaigns. Output matches the reflected
-// encoding (declaration order, omitted zero values, sorted map keys).
-func (n NodeReport) MarshalJSON() ([]byte, error) {
-	b := make([]byte, 0, 64+len(n.Layers)*256)
-	b = append(b, `{"name":`...)
-	b = appendJSONString(b, n.Name)
-	if n.Crashed {
-		b = append(b, `,"crashed":true`...)
-	}
-	if len(n.Layers) != 0 {
-		b = append(b, `,"layers":{`...)
-		layers := make([]string, 0, len(n.Layers))
-		for l := range n.Layers {
-			layers = append(layers, l)
-		}
-		sort.Strings(layers)
-		for i, l := range layers {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, l)
-			b = append(b, `:{`...)
-			vals := n.Layers[l]
-			names := make([]string, 0, len(vals))
-			for name := range vals {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for j, name := range names {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = appendJSONString(b, name)
-				b = append(b, ':')
-				b = appendJSONFloat(b, vals[name])
-			}
-			b = append(b, '}')
-		}
-		b = append(b, '}')
-	}
-	b = append(b, '}')
-	return b, nil
+// NodeLayers is a node's per-layer readings, ordered by layer name. It
+// marshals to the same JSON object the map it replaced did:
+// {"engine": {"actions_fired": 0, ...}, "ip": {...}, ...}. The encoder
+// writes layers and names in slice order, so both must be ascending and
+// distinct, as they are in reports from Run and from decoding.
+type NodeLayers []LayerReadings
+
+// LayerReadings is one layer's readings: distinct metric names in
+// ascending order and their values. In a report from Run the Names are
+// shared with the testbed's metrics layout and must not be modified.
+type LayerReadings struct {
+	Layer  string
+	Names  []string
+	Values []float64
 }
 
-// appendJSONString quotes s the way encoding/json would. Identifiers —
-// the overwhelmingly common case for node, layer and metric names — take
-// the allocation-free fast path; anything needing escapes falls back to
-// the real encoder.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			enc, _ := json.Marshal(s)
-			return append(b, enc...)
-		}
+// Layer looks a layer up by name.
+func (l NodeLayers) Layer(name string) (LayerReadings, bool) {
+	i := sort.Search(len(l), func(i int) bool { return l[i].Layer >= name })
+	if i < len(l) && l[i].Layer == name {
+		return l[i], true
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	return LayerReadings{}, false
+}
+
+// Get reads one metric of one layer.
+func (l NodeLayers) Get(layer, name string) (float64, bool) {
+	lr, ok := l.Layer(layer)
+	if !ok {
+		return 0, false
+	}
+	return lr.Get(name)
+}
+
+// Get reads one metric by name.
+func (lr LayerReadings) Get(name string) (float64, bool) {
+	i := sort.SearchStrings(lr.Names, name)
+	if i < len(lr.Names) && lr.Names[i] == name {
+		return lr.Values[i], true
+	}
+	return 0, false
+}
+
+// Map returns the readings as nested maps keyed layer, then metric
+// name: the shape NodeReport.Layers had before it became a slice.
+func (l NodeLayers) Map() map[string]map[string]float64 {
+	m := make(map[string]map[string]float64, len(l))
+	for _, lr := range l {
+		vals := make(map[string]float64, len(lr.Names))
+		for i, name := range lr.Names {
+			vals[name] = lr.Values[i]
+		}
+		m[lr.Layer] = vals
+	}
+	return m
+}
+
+// nodeLayersFromMap builds NodeLayers from nested maps, sorting layers
+// and names.
+func nodeLayersFromMap(m map[string]map[string]float64) NodeLayers {
+	if m == nil {
+		return nil
+	}
+	out := make(NodeLayers, 0, len(m))
+	for layer, vals := range m {
+		lr := LayerReadings{Layer: layer, Names: make([]string, 0, len(vals))}
+		for name := range vals {
+			lr.Names = append(lr.Names, name)
+		}
+		sort.Strings(lr.Names)
+		lr.Values = make([]float64, len(lr.Names))
+		for i, name := range lr.Names {
+			lr.Values[i] = vals[name]
+		}
+		out = append(out, lr)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Layer < out[j].Layer })
+	return out
 }
 
 // verdict condenses a result into RunReport.Verdict.
@@ -174,9 +191,10 @@ func (r RunReport) Text() string {
 		r.Duration, r.Events, len(r.Faults))
 	for _, n := range r.Nodes {
 		fmt.Fprintf(&b, "%-8s", n.Name)
-		if eng, ok := n.Layers["engine"]; ok {
+		if eng, ok := n.Layers.Layer("engine"); ok {
+			get := func(name string) float64 { v, _ := eng.Get(name); return v }
 			fmt.Fprintf(&b, " engine: %.0f intercepted, %.0f matched, %.0f actions",
-				eng["packets_intercepted"], eng["packets_matched"], eng["actions_fired"])
+				get("packets_intercepted"), get("packets_matched"), get("actions_fired"))
 		}
 		if n.Crashed {
 			b.WriteString(" [CRASHED by FAIL]")
@@ -184,29 +202,4 @@ func (r RunReport) Text() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// nodeReports gathers every host's layer snapshots for the report.
-func (tb *Testbed) nodeReports() []NodeReport {
-	out := make([]NodeReport, 0, len(tb.nodes))
-	for _, n := range tb.nodes {
-		nr := NodeReport{
-			Name:    n.name,
-			Crashed: n.engine.Failed(),
-			Layers:  make(map[string]map[string]float64),
-		}
-		for _, layer := range n.SnapshotLayers() {
-			snap, ok := n.Snapshot(layer)
-			if !ok {
-				continue
-			}
-			vals := make(map[string]float64, len(snap.Values))
-			for _, v := range snap.Values {
-				vals[v.Name] = v.Value
-			}
-			nr.Layers[layer] = vals
-		}
-		out = append(out, nr)
-	}
-	return out
 }

@@ -237,9 +237,10 @@ echo "== campaign allocation gate =="
 # long-lived worker testbeds between runs; if a change quietly reverts to
 # per-run testbed construction (or re-introduces reflection/gob on the
 # record path), allocations jump an order of magnitude. Gate on the
-# serial 16-run benchmark: ~5.7k allocs/op today, 45k before the reuse
-# pipeline. Allocation counts are deterministic, so a short run suffices.
-ALLOC_LIMIT=9000
+# serial 16-run benchmark: 3,529 allocs/op since the flat record path
+# (5,692 before it, 45k before the reuse pipeline); the limit leaves 25 %
+# headroom. Allocation counts are deterministic, so a short run suffices.
+ALLOC_LIMIT=4400
 ALLOCS="$(go test -run '^$' -bench 'BenchmarkCampaignSerial$' -benchmem -benchtime 3x ./campaign \
     | awk '/^BenchmarkCampaignSerial/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i - 1) }')"
 if [ -z "$ALLOCS" ]; then
@@ -251,6 +252,27 @@ if [ "$ALLOCS" -gt "$ALLOC_LIMIT" ]; then
     exit 1
 fi
 echo "campaign allocations: $ALLOCS allocs/op (limit $ALLOC_LIMIT)"
+
+echo "== record encode allocation gate =="
+# The collector encodes every record into one reused line buffer; the
+# append encoder must not allocate there, on either the 2-node quickstart
+# record or the 1000-host fat-tree one. Any reflection or per-record
+# scratch creeping back into the encoder shows up as allocs/op.
+ENC="$(go test -run '^$' -bench 'BenchmarkRecordEncode' -benchmem -benchtime 200x ./campaign)"
+echo "$ENC" | grep '^Benchmark' || true
+ENC_BAD="$(echo "$ENC" | awk '/^BenchmarkRecordEncode/ { n++; for (i = 2; i <= NF; i++) if ($(i) == "allocs/op" && $(i - 1) != 0) print $1 } END { if (n < 2) print "missing" }')"
+if [ -n "$ENC_BAD" ]; then
+    echo "record encode allocates (want 0 allocs/op): $ENC_BAD" >&2
+    exit 1
+fi
+echo "record encode: 0 allocs/op"
+
+echo "== record JSON fuzz =="
+# A short fuzzing pass over the record encoder and the hand-written
+# decoders (FuzzRecordJSON: encoder bytes equal encoding/json's, decode
+# round-trips, arbitrary input decodes exactly as encoding/json decodes
+# it). The seed corpus in campaign/testdata/fuzz runs in every go test.
+go test -run '^$' -fuzz '^FuzzRecordJSON$' -fuzztime 10s -fuzzminimizetime 2s ./campaign
 
 echo "== compiled dispatch flatness gate =="
 # The compiled classifier's selling point is flat per-packet cost in the

@@ -80,6 +80,10 @@ type shardRuntime struct {
 	// coordinator at the next barrier, where workload setup can run
 	// single-threaded with every shard parked.
 	startPending bool
+
+	// scratch is the reused per-shard reading buffer of the aggregate
+	// metrics sources.
+	scratch MetricsSnapshot
 }
 
 // shardMode reports whether this testbed uses the windowed engine.
@@ -222,49 +226,50 @@ func validateShardConfig(cfg *Config) error {
 	return nil
 }
 
-// shardSchedulerSnapshot aggregates the per-shard schedulers into the
-// single "testbed"/"scheduler" source, summing counters and gauges so
-// totals equal the legacy engine's single-queue readings at any shard
-// count.
-func (tb *Testbed) shardSchedulerSnapshot() MetricsSnapshot {
+// appendShardSchedulerSnapshot aggregates the per-shard schedulers into
+// the single "testbed"/"scheduler" source, summing counters and gauges
+// so totals equal the legacy engine's single-queue readings at any
+// shard count.
+func (tb *Testbed) appendShardSchedulerSnapshot(out *MetricsSnapshot) {
 	var exec, schd, rec, pend, free float64
+	sn := &tb.shards.scratch
 	for _, s := range tb.shards.scheds {
-		sn := s.Snapshot()
+		sn.Values = sn.Values[:0]
+		s.AppendSnapshot(sn)
 		exec += snapVal(sn, "events_executed")
 		schd += snapVal(sn, "events_scheduled")
 		rec += snapVal(sn, "events_recycled")
 		pend += snapVal(sn, "events_pending")
 		free += snapVal(sn, "free_list_len")
 	}
-	var out MetricsSnapshot
 	out.Counter("events_executed", uint64(exec))
 	out.Counter("events_scheduled", uint64(schd))
 	out.Counter("events_recycled", uint64(rec))
 	out.Gauge("events_pending", pend)
 	out.Gauge("free_list_len", free)
-	return out
 }
 
-// shardPoolSnapshot aggregates the per-shard frame pools into the
+// appendShardPoolSnapshot aggregates the per-shard frame pools into the
 // single "testbed"/"pool" source.
-func (tb *Testbed) shardPoolSnapshot() MetricsSnapshot {
+func (tb *Testbed) appendShardPoolSnapshot(out *MetricsSnapshot) {
 	var gets, hits, puts uint64
 	var free float64
+	sn := &tb.shards.scratch
 	for _, p := range tb.shards.pools {
 		gets += p.Gets
 		hits += p.Hits
 		puts += p.Puts
-		free += snapVal(p.Snapshot(), "free_frames")
+		sn.Values = sn.Values[:0]
+		p.AppendSnapshot(sn)
+		free += snapVal(sn, "free_frames")
 	}
-	var out MetricsSnapshot
 	out.Counter("gets", gets)
 	out.Counter("hits", hits)
 	out.Counter("puts", puts)
 	out.Gauge("free_frames", free)
-	return out
 }
 
-func snapVal(sn MetricsSnapshot, name string) float64 {
+func snapVal(sn *MetricsSnapshot, name string) float64 {
 	v, _ := sn.Get(name)
 	return v
 }

@@ -398,8 +398,9 @@ func (tb *Testbed) buildFabric() error {
 	}
 	// Per-trunk state gauges stay readable on small fabrics; a 320-switch
 	// fat-tree would bloat every RunReport, so they gate off above
-	// trunkStateGaugeMax. Names are interned once here — fabricSnapshot
-	// runs on report assembly and must not format strings per gather.
+	// trunkStateGaugeMax. Names are interned once here —
+	// appendFabricSnapshot runs on report assembly and must not format
+	// strings per gather.
 	if len(tb.trunks) <= trunkStateGaugeMax {
 		tb.trunkStateNames = make([]string, len(tb.trunks))
 		for i := range tb.trunks {
@@ -568,18 +569,16 @@ const (
 	trunkStateFailed     = 2
 )
 
-// fabricSnapshot aggregates the fabric's switches into one metrics
+// appendFabricSnapshot aggregates the fabric's switches into one metrics
 // source ("testbed"/"fabric"): per-switch sources at 320 switches would
 // bloat every RunReport, and fabric-wide totals are what campaigns
 // compare. Alongside the forwarding totals it reports the fault
 // engine's failover counters and the fabric's live trunk state — the
 // blocked_trunks gauge tracks runtime block/unblock, not the build-time
 // layout, so spanning-tree failover is observable.
-func (tb *Testbed) fabricSnapshot() MetricsSnapshot {
-	var sn MetricsSnapshot
-	var ingress, fwd, flood, blockedFr, dropped uint64
+func (tb *Testbed) appendFabricSnapshot(sn *MetricsSnapshot) {
+	var ingress, fwd, flood, blockedFr, dropped, drops uint64
 	downSwitches := 0
-	var drops float64
 	for _, sw := range tb.fabric {
 		ingress += sw.IngressFrames
 		fwd += sw.ForwardedFrames
@@ -589,16 +588,14 @@ func (tb *Testbed) fabricSnapshot() MetricsSnapshot {
 		if sw.Down() {
 			downSwitches++
 		}
-		if v, ok := sw.Snapshot().Get("port_queue_drops"); ok {
-			drops += v
-		}
+		drops += sw.PortQueueDrops()
 	}
 	sn.Counter("ingress_frames", ingress)
 	sn.Counter("forwarded_frames", fwd)
 	sn.Counter("flooded_frames", flood)
 	sn.Counter("blocked_frames", blockedFr)
 	sn.Counter("dropped_frames", dropped)
-	sn.Counter("port_queue_drops", uint64(drops))
+	sn.Counter("port_queue_drops", drops)
 	sn.Counter("failovers", tb.topo.failovers)
 	sn.Counter("reconverge_ns_total", uint64(tb.topo.reconvergeTotal))
 	sn.Gauge("reconverge_last_ns", float64(tb.topo.reconvergeLast))
@@ -623,7 +620,6 @@ func (tb *Testbed) fabricSnapshot() MetricsSnapshot {
 		}
 		sn.Gauge(name, float64(state))
 	}
-	return sn
 }
 
 // TrunkCount reports the number of trunks in the built fabric.

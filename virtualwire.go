@@ -62,6 +62,18 @@ type (
 // `Testbed.Summary()`. Runs return a RunReport; render it with
 // RunReport.Text (the structured replacement for Summary) or marshal it
 // with RunReport.WriteJSON.
+//
+// Changed in this release: NodeReport.Layers is a NodeLayers slice
+// (layers sorted by name, each with sorted metric names and their
+// values) instead of map[string]map[string]float64. Its JSON is
+// unchanged. Read it with Layers.Get(layer, name) or Layers.Layer(name),
+// or convert with Layers.Map(). A report's readings are copied out of
+// the testbed, so a RunReport stays valid after Reset; the metric-name
+// slices are shared with the testbed's metrics layout and must not be
+// modified. RunReport now implements json.Marshaler (and AppendJSON)
+// with a hand-written encoder, and NodeReport, NodeLayers and
+// MetricsSummary implement json.Unmarshaler; the bytes and decoded
+// values equal encoding/json's.
 
 // ClassifierStrategy selects the per-engine packet classification
 // algorithm (re-export of core.Strategy).
@@ -207,6 +219,16 @@ type Node struct {
 	rll    *rll.RLL
 	rether *rether.Layer
 	tcp    *tcp.Stack
+
+	// metricSrcs are the node's registry sources in layer-name order
+	// (registerMetricSources), read back into its NodeReport.
+	metricSrcs []nodeSource
+}
+
+// nodeSource is one of a node's registered metrics sources.
+type nodeSource struct {
+	layer string
+	src   int // registry source index
 }
 
 // Name returns the host name.
@@ -339,7 +361,9 @@ type Testbed struct {
 	reg      *metrics.Registry
 	sampler  *metrics.Sampler
 
-	totalsKeys map[[2]string]string // interned "layer/name" summary keys
+	// report is the report-assembly plan derived from the registry's
+	// current Layout (see gatherReport).
+	report reportPlan
 
 	retherRing []string
 	retherCfg  rether.Config
@@ -806,8 +830,7 @@ func (tb *Testbed) assembleRunReport(start time.Duration, events uint64) RunRepo
 	rep.Verdict = verdict(rep.Result, tb.ctl != nil)
 	rep.Faults = tb.InjectedFaults()
 	rep.Errors = append([]ErrorReport(nil), rep.Result.Errors...)
-	rep.Nodes = tb.nodeReports()
-	rep.Metrics = tb.metricsSummary()
+	tb.gatherReport(&rep)
 	return rep
 }
 
