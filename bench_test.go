@@ -6,12 +6,14 @@ package virtualwire_test
 // paper-scale sweeps. See EXPERIMENTS.md for recorded results.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 	"virtualwire/internal/experiments"
 )
 
@@ -91,15 +93,16 @@ func BenchmarkFig6Scenario(b *testing.B) {
 }
 
 // BenchmarkFig7Throughput regenerates a reduced Figure 7 sweep per
-// iteration and reports the saturated goodputs as custom metrics.
+// iteration through the campaign executor on one worker and reports the
+// saturated goodputs as custom metrics.
 func BenchmarkFig7Throughput(b *testing.B) {
 	var last experiments.Fig7Point
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig7(experiments.Fig7Config{
+		pts, _, err := experiments.RunFig7(context.Background(), experiments.Fig7Config{
 			Seed:        int64(i + 1),
 			OfferedMbps: []float64{60, 100},
 			Duration:    500 * time.Millisecond,
-		})
+		}, campaign.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,15 +114,16 @@ func BenchmarkFig7Throughput(b *testing.B) {
 }
 
 // BenchmarkFig8Latency regenerates a reduced Figure 8 sweep per
-// iteration and reports the 25-filter overheads as custom metrics.
+// iteration through the campaign executor on one worker and reports the
+// 25-filter overheads as custom metrics.
 func BenchmarkFig8Latency(b *testing.B) {
 	var last experiments.Fig8Point
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8(experiments.Fig8Config{
+		pts, _, err := experiments.RunFig8(context.Background(), experiments.Fig8Config{
 			Seed:         int64(i + 1),
 			FilterCounts: []int{25},
 			Pings:        100,
-		})
+		}, campaign.Options{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -131,10 +131,12 @@ type ConfigOverride struct {
 	BitsPerSecond float64 `json:"bits_per_second,omitempty"`
 	// Propagation overrides the per-segment delay when positive.
 	Propagation Duration `json:"propagation,omitempty"`
-	// IndexedClassifier toggles the classifier ablation.
+	// IndexedClassifier is the removed ethertype-indexed classifier
+	// ablation. Only false (a no-op) is accepted, so specs written
+	// before the removal keep their Hash; true is a validation error.
 	IndexedClassifier *bool `json:"indexed_classifier,omitempty"`
 	// Classifier selects the classification strategy axis value:
-	// "default", "linear", "indexed", "compiled" or "auto".
+	// "default", "linear", "compiled" or "auto".
 	Classifier string `json:"classifier,omitempty"`
 	// Shards selects the sharded windowed engine for this axis value:
 	// 0/nil legacy single-queue, -1 auto, >= 1 explicit shard count (see
@@ -237,8 +239,8 @@ func (o *ConfigOverride) apply(cfg *virtualwire.Config) error {
 	if o.Propagation > 0 {
 		cfg.Propagation = o.Propagation.D()
 	}
-	if o.IndexedClassifier != nil {
-		cfg.IndexedClassifier = *o.IndexedClassifier
+	if o.IndexedClassifier != nil && *o.IndexedClassifier {
+		return fieldErrf("indexed_classifier", "the indexed classifier strategy was removed (use classifier linear, compiled or auto)")
 	}
 	if o.Classifier != "" {
 		strat, err := virtualwire.ParseClassifierStrategy(o.Classifier)

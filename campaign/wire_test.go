@@ -90,6 +90,11 @@ func TestValidateNamesFieldPaths(t *testing.T) {
 		{"retries", func(s *Spec) { s.Retries = -1 }, "retries"},
 		{"medium", func(s *Spec) { s.Configs[1].Medium = "pigeon" }, "configs[1].medium"},
 		{"classifier", func(s *Spec) { s.Configs[0].Classifier = "warp" }, "configs[0].classifier"},
+		{"classifier-indexed", func(s *Spec) { s.Configs[1].Classifier = "indexed" }, "configs[1].classifier"},
+		{"indexed-classifier", func(s *Spec) {
+			on := true
+			s.Configs[0].IndexedClassifier = &on
+		}, "configs[0].indexed_classifier"},
 		{"workload", func(s *Spec) { s.Workloads[0].Kind = "stampede" }, "workloads[0].kind"},
 		{"trunkfault", func(s *Spec) {
 			s.Configs[0].Topology = &TopologyOverride{Kind: "ring"}

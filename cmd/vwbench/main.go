@@ -7,19 +7,21 @@
 //
 // Flags tune the sweeps; defaults match the paper's parameters
 // (25 packet definitions, 25 actions per packet, 10..100 Mbps offered).
+// Each figure is a campaign spec (experiments.Fig7CampaignSpec,
+// Fig8CampaignSpec) run through the campaign executor on -parallel
+// workers; the tables do not depend on the worker count.
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
-	"virtualwire"
+	"virtualwire/campaign"
 	"virtualwire/internal/experiments"
 	"virtualwire/internal/profiling"
 )
@@ -38,9 +40,7 @@ func run() (retErr error) {
 	rates := flag.String("rates", "", "fig 7: comma-separated offered rates in Mbps (default 10..100)")
 	pings := flag.Int("pings", 300, "fig 8: echo round trips per point")
 	filters := flag.String("filters", "", "fig 8: comma-separated filter counts (default 1,5,10,15,20,25)")
-	metricsOut := flag.String("metrics-out", "", "write per-sub-run metrics time series to this JSON file")
-	metricsInterval := flag.Duration("metrics-interval", 50*time.Millisecond, "virtual-time sampling interval for -metrics-out")
-	parallel := flag.Int("parallel", 1, "sweep points run concurrently (0 = GOMAXPROCS); results are identical to -parallel 1")
+	parallel := flag.Int("parallel", 1, "campaign workers (0 = GOMAXPROCS); results are identical to -parallel 1")
 	var prof profiling.Flags
 	prof.Register()
 	flag.Parse()
@@ -55,34 +55,16 @@ func run() (retErr error) {
 		}
 	}()
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	want7 := *fig == "7" || *fig == "all"
 	want8 := *fig == "8" || *fig == "all"
 	if !want7 && !want8 {
 		return fmt.Errorf("unknown -fig %q (want 7, 8 or all)", *fig)
 	}
-
-	// With -metrics-out, every sub-run reports its sampled series under a
-	// label like "vw+rll@90Mbps" or "actions@n=10".
-	type labeledSeries struct {
-		Label  string                    `json:"label"`
-		Series virtualwire.MetricsSeries `json:"series"`
-	}
-	var collected []labeledSeries
-	observe := func(label string, tb *virtualwire.Testbed) {
-		collected = append(collected, labeledSeries{Label: label, Series: tb.MetricsSeries()})
-	}
+	ctx := context.Background()
+	opts := campaign.Options{Workers: *parallel}
 
 	if want7 {
-		cfg := experiments.Fig7Config{Seed: *seed, Duration: *duration, Parallel: workers}
-		if *metricsOut != "" {
-			cfg.MetricsInterval = *metricsInterval
-			cfg.Observe = observe
-		}
+		cfg := experiments.Fig7Config{Seed: *seed, Duration: *duration}
 		if *rates != "" {
 			rs, err := parseFloats(*rates)
 			if err != nil {
@@ -90,18 +72,14 @@ func run() (retErr error) {
 			}
 			cfg.OfferedMbps = rs
 		}
-		pts, err := experiments.RunFig7(cfg)
+		pts, _, err := experiments.RunFig7(ctx, cfg, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.FormatFig7(pts))
 	}
 	if want8 {
-		cfg := experiments.Fig8Config{Seed: *seed, Pings: *pings, Parallel: workers}
-		if *metricsOut != "" {
-			cfg.MetricsInterval = *metricsInterval
-			cfg.Observe = observe
-		}
+		cfg := experiments.Fig8Config{Seed: *seed, Pings: *pings}
 		if *filters != "" {
 			fs, err := parseInts(*filters)
 			if err != nil {
@@ -109,29 +87,11 @@ func run() (retErr error) {
 			}
 			cfg.FilterCounts = fs
 		}
-		pts, err := experiments.RunFig8(cfg)
+		pts, _, err := experiments.RunFig8(ctx, cfg, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Println(experiments.FormatFig8(pts))
-	}
-	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
-			Runs []labeledSeries `json:"runs"`
-		}{Runs: collected}); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("metrics written to %s (%d sub-runs)\n", *metricsOut, len(collected))
 	}
 	return nil
 }

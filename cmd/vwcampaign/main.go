@@ -75,7 +75,7 @@ func run() (code int, retErr error) {
 	echoSpec := flag.String("echo", "", "UDP echo workload: client-server:port:count")
 	hosts := flag.Int("hosts", 0, "scriptless runs over this many generated hosts (alternative to -script)")
 	topology := flag.String("topology", "", "multi-switch fabric: kind[:switches], kind = star, ring, fattree or random")
-	classifier := flag.String("classifier", "", "classifier strategy: linear, indexed, compiled or auto")
+	classifier := flag.String("classifier", "", "classifier strategy: linear, compiled or auto")
 	incastSpec := flag.String("incast", "", "incast workload: senders:bytes (N-to-1 onto the first host)")
 	manyflowSpec := flag.String("manyflow", "", "many-flow workload: flows:bytes (random pairs across all hosts)")
 	horizon := flag.Duration("horizon", 60*time.Second, "virtual-time horizon per run")

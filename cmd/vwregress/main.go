@@ -1,10 +1,11 @@
 // Command vwregress is the paper's envisioned fully automated regression
 // workflow (Section 8) as a tool: it *generates* fault scenarios for a
 // target packet stream — one per (fault kind, occurrence) — and runs
-// each against a fresh testbed carrying a TCP bulk transfer. A case
-// passes when the stream keeps flowing after the injected fault (the
-// generated script STOPs); it fails on an analysis error or when the
-// connection goes quiet (inactivity timeout).
+// them as one campaign: each scenario is a variant with its script, a
+// TCP bulk transfer and a pinned seed. A case passes when the stream
+// keeps flowing after the injected fault (the generated script STOPs);
+// it fails on an analysis error or when the connection goes quiet
+// (inactivity timeout).
 //
 //	vwregress -prologue scripts/prologue_tcp.fsl \
 //	    -type TCP_data -from node1 -to node2 -dir RECV \
@@ -15,41 +16,51 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "vwregress:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	prologuePath := flag.String("prologue", "", "FSL file with FILTER_TABLE and NODE_TABLE (required)")
-	pktType := flag.String("type", "", "target packet type (required)")
-	from := flag.String("from", "", "stream source host (required)")
-	to := flag.String("to", "", "stream destination host (required)")
-	dir := flag.String("dir", "RECV", "observation side: SEND or RECV")
-	faults := flag.String("faults", "drop,delay,dup,modify,reorder", "comma-separated fault kinds")
-	occurrences := flag.String("occurrences", "1,2,10", "comma-separated packet indices to hit")
-	continueCount := flag.Int("continue", 20, "packets that must flow after the fault to pass")
-	srcPort := flag.Uint("srcport", 0x6000, "TCP workload source port")
-	dstPort := flag.Uint("dstport", 0x4000, "TCP workload destination port")
-	bytes := flag.Int("bytes", 256*1024, "TCP workload size")
-	seed := flag.Int64("seed", 1, "base simulation seed")
-	horizon := flag.Duration("horizon", 2*time.Minute, "per-case virtual time limit")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vwregress", flag.ContinueOnError)
+	prologuePath := fs.String("prologue", "", "FSL file with FILTER_TABLE and NODE_TABLE (required)")
+	pktType := fs.String("type", "", "target packet type (required)")
+	from := fs.String("from", "", "stream source host (required)")
+	to := fs.String("to", "", "stream destination host (required)")
+	dir := fs.String("dir", "RECV", "observation side: SEND or RECV")
+	faults := fs.String("faults", "drop,delay,dup,modify,reorder", "comma-separated fault kinds")
+	occurrences := fs.String("occurrences", "1,2,10", "comma-separated packet indices to hit")
+	continueCount := fs.Int("continue", 20, "packets that must flow after the fault to pass")
+	srcPort := fs.Uint("srcport", 0x6000, "TCP workload source port")
+	dstPort := fs.Uint("dstport", 0x4000, "TCP workload destination port")
+	bytes := fs.Int("bytes", 256*1024, "TCP workload size")
+	seed := fs.Int64("seed", 1, "base simulation seed (case i runs with seed+i)")
+	horizon := fs.Duration("horizon", 2*time.Minute, "per-case virtual time limit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *prologuePath == "" || *pktType == "" || *from == "" || *to == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("-prologue, -type, -from and -to are required")
 	}
 	prologue, err := os.ReadFile(*prologuePath)
@@ -82,65 +93,55 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("generated %d scenarios for %s %s->%s %s\n\n",
+	fmt.Fprintf(stdout, "generated %d scenarios for %s %s->%s %s\n\n",
 		len(scenarios), *pktType, *from, *to, strings.ToUpper(*dir))
 
-	failures := 0
+	wl := campaign.WorkloadSpec{
+		Kind: "tcpbulk", From: *from, To: *to,
+		SrcPort: uint16(*srcPort), DstPort: uint16(*dstPort),
+		Bytes: *bytes,
+	}
+	spec := campaign.Spec{
+		Name:    "vwregress",
+		Seed:    *seed,
+		Horizon: campaign.Duration(*horizon),
+	}
 	for i, sc := range scenarios {
-		verdict, detail, err := runCase(*seed+int64(i), sc.Script, caseParams{
-			from: *from, to: *to,
-			srcPort: uint16(*srcPort), dstPort: uint16(*dstPort),
-			bytes: *bytes, horizon: *horizon,
+		script := sc.Script
+		caseSeed := *seed + int64(i)
+		spec.Variants = append(spec.Variants, campaign.Variant{
+			Label: sc.Name, Script: &script, Workload: &wl, Seed: &caseSeed,
 		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", sc.Name, err)
+	}
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	var recs []campaign.RunRecord
+	if _, err := campaign.Run(context.Background(), spec, campaign.Options{
+		OnRecord: func(r campaign.RunRecord) { recs = append(recs, r) },
+	}); err != nil {
+		return err
+	}
+
+	failures := 0
+	for i, rec := range recs {
+		if rec.Outcome != campaign.OutcomePass && rec.Outcome != campaign.OutcomeFail {
+			return fmt.Errorf("%s: %s: %s", scenarios[i].Name, rec.Outcome, rec.Error)
 		}
-		fmt.Printf("  %-30s %-5s %s\n", sc.Name, verdict, detail)
+		verdict := "FAIL"
+		if rec.Outcome == campaign.OutcomePass && rec.Report.Result.Stopped {
+			verdict = "PASS"
+		}
+		fmt.Fprintf(stdout, "  %-30s %-5s (%d bytes, %d rtx, %v)\n", scenarios[i].Name, verdict,
+			rec.DeliveredBytes, rec.Retransmissions, rec.Report.Result)
 		if verdict != "PASS" {
 			failures++
 		}
 	}
-	fmt.Printf("\n%d/%d passed\n", len(scenarios)-failures, len(scenarios))
+	fmt.Fprintf(stdout, "\n%d/%d passed\n", len(scenarios)-failures, len(scenarios))
 	if failures > 0 {
 		return fmt.Errorf("%d case(s) failed", failures)
 	}
 	return nil
-}
-
-type caseParams struct {
-	from, to         string
-	srcPort, dstPort uint16
-	bytes            int
-	horizon          time.Duration
-}
-
-func runCase(seed int64, script string, p caseParams) (verdict, detail string, err error) {
-	tb, err := virtualwire.New(virtualwire.Config{Seed: seed})
-	if err != nil {
-		return "", "", err
-	}
-	if err := tb.AddNodesFromScript(script); err != nil {
-		return "", "", err
-	}
-	if err := tb.LoadScript(script); err != nil {
-		return "", "", err
-	}
-	bulk, err := tb.AddTCPBulk(virtualwire.TCPBulkConfig{
-		From: p.from, To: p.to,
-		SrcPort: p.srcPort, DstPort: p.dstPort,
-		Bytes: p.bytes,
-	})
-	if err != nil {
-		return "", "", err
-	}
-	rep, err := tb.Run(p.horizon)
-	if err != nil {
-		return "", "", err
-	}
-	detail = fmt.Sprintf("(%d bytes, %d rtx, %v)",
-		bulk.DeliveredBytes(), bulk.SenderStats().Retransmissions, rep.Result)
-	if rep.Passed && rep.Result.Stopped {
-		return "PASS", detail, nil
-	}
-	return "FAIL", detail, nil
 }

@@ -145,13 +145,9 @@ type Engine struct {
 	Cost CostModel
 	// Stats accumulates counters.
 	Stats EngineStats
-	// UseIndexedClassifier selects the ablation classifier when
-	// ClassifyStrategy is StrategyDefault (legacy knob).
-	UseIndexedClassifier bool
 	// ClassifyStrategy selects the classifier search strategy
-	// (default/linear/indexed/compiled/auto); Default defers to
-	// UseIndexedClassifier. Resolved against the loaded program's table
-	// size at load time.
+	// (default/linear/compiled/auto). Resolved against the loaded
+	// program's table size at load time.
 	ClassifyStrategy Strategy
 
 	controller *Controller
@@ -271,7 +267,7 @@ func (e *Engine) LoadLocal(p *Program, self, controlNode NodeID) {
 }
 
 func (e *Engine) load(p *Program, self, controlNode NodeID) {
-	strategy := e.ClassifyStrategy.Resolve(e.UseIndexedClassifier, len(p.Filters))
+	strategy := e.ClassifyStrategy.Resolve(len(p.Filters))
 	if e.prog == p && e.self == self && e.controlNode == controlNode &&
 		e.classifier != nil && e.classifier.Strategy == strategy {
 		// Same tables, same identity (a reused testbed re-running the

@@ -107,39 +107,6 @@ END`
 	}
 }
 
-// TestIndexedClassifierInEngine runs a scenario with the ablation
-// classifier enabled and verifies identical observable behaviour.
-func TestIndexedClassifierInEngine(t *testing.T) {
-	script := header(2, 3) + `
-SCENARIO idx
-C: (p1, node1, node2, RECV)
-(TRUE) >> ENABLE_CNTR( C );
-((C = 2)) >> DROP( p1, node1, node2, RECV );
-END`
-	run := func(indexed bool) (int64, uint64) {
-		r := newRig(t, 34, 2, script)
-		for _, e := range r.engines {
-			e.UseIndexedClassifier = indexed
-		}
-		sink := r.bindSink(t, 1, 7001)
-		r.launch(t)
-		for i := 0; i < 4; i++ {
-			r.sendUDP(t, 0, 1, 7001, []byte("x"))
-			r.run(t, 10*time.Millisecond)
-		}
-		v, _ := r.engines[1].CounterValueByName("C")
-		return v, uint64(*sink)
-	}
-	c1, d1 := run(false)
-	c2, d2 := run(true)
-	if c1 != c2 || d1 != d2 {
-		t.Errorf("linear (C=%d, delivered=%d) != indexed (C=%d, delivered=%d)", c1, d1, c2, d2)
-	}
-	if d1 != 3 {
-		t.Errorf("delivered %d, want 3 (second packet dropped)", d1)
-	}
-}
-
 // TestDelayPreservesRelativeOrderOfOthers: a delayed packet must not
 // block packets of other types.
 func TestDelayDoesNotBlockOtherTraffic(t *testing.T) {

@@ -8,15 +8,15 @@ import (
 	"virtualwire/campaign"
 )
 
-// This file re-expresses the two figure sweeps as campaign specs: the
-// same matrices the hand-rolled RunFig7/RunFig8 drivers execute, with
-// per-variant seeds pinned to the drivers' derivation so a campaign
-// reproduces their numbers exactly — while gaining the executor's
-// JSONL streaming, retry policy and cancellation for free.
+// This file expresses the two figure sweeps as campaign specs, with
+// per-variant seeds pinned to a fixed per-point derivation, and folds
+// the campaign records back into figure points. The campaign executor
+// supplies the worker pool, JSONL streaming, retry policy and
+// cancellation; its output never depends on the worker count.
 
 // Fig7CampaignSpec expands cfg into the Figure 7 matrix: for each
-// offered rate, a baseline / vw / vw+rll variant triple with the same
-// seeds, scripts and testbed overrides RunFig7 uses.
+// offered rate i, a baseline / vw / vw+rll variant triple seeded
+// cfg.Seed + 100*i + 1, 2 and 3.
 func Fig7CampaignSpec(cfg Fig7Config) campaign.Spec {
 	cfg.fill()
 	spec := campaign.Spec{
@@ -50,11 +50,7 @@ func Fig7CampaignSpec(cfg Fig7Config) campaign.Spec {
 			{"vw+rll", nil, &rllOn, 3},
 		} {
 			vseed := seed + v.offset
-			co := campaign.ConfigOverride{
-				Medium:                medium,
-				RLL:                   v.rll,
-				MetricsSampleInterval: campaign.Duration(cfg.MetricsInterval),
-			}
+			co := campaign.ConfigOverride{Medium: medium, RLL: v.rll}
 			if v.script == nil {
 				co.Cost = cfg.Cost
 			}
@@ -70,10 +66,10 @@ func Fig7CampaignSpec(cfg Fig7Config) campaign.Spec {
 	return spec
 }
 
-// RunFig7Campaign executes the Figure 7 matrix through the campaign
-// executor and folds the records back into sweep points. The points are
-// bit-for-bit those of RunFig7 with the same cfg, at any worker count.
-func RunFig7Campaign(ctx context.Context, cfg Fig7Config, opts campaign.Options) ([]Fig7Point, *campaign.Summary, error) {
+// RunFig7 executes the Figure 7 matrix through the campaign executor
+// and folds the records back into one point per offered rate. The
+// points are bit-for-bit identical at any opts.Workers.
+func RunFig7(ctx context.Context, cfg Fig7Config, opts campaign.Options) ([]Fig7Point, *campaign.Summary, error) {
 	cfg.fill()
 	spec := Fig7CampaignSpec(cfg)
 	recs, sum, err := collectRecords(ctx, spec, opts)
@@ -93,8 +89,9 @@ func RunFig7Campaign(ctx context.Context, cfg Fig7Config, opts campaign.Options)
 }
 
 // Fig8CampaignSpec expands cfg into the Figure 8 matrix: the shared
-// baseline first, then a filters / actions / rll triple per filter
-// count, seeds pinned to RunFig8's derivation.
+// baseline first (seed cfg.Seed + 1), then a filters / actions / rll
+// triple for the i-th filter count seeded cfg.Seed + 100*(i+1) + 1, 2
+// and 3.
 func Fig8CampaignSpec(cfg Fig8Config) campaign.Spec {
 	cfg.fill()
 	spec := campaign.Spec{
@@ -111,10 +108,7 @@ func Fig8CampaignSpec(cfg Fig8Config) campaign.Spec {
 	rllOn := true
 	addVariant := func(label, script string, rll *bool, seed int64) {
 		src := script
-		co := campaign.ConfigOverride{
-			RLL:                   rll,
-			MetricsSampleInterval: campaign.Duration(cfg.MetricsInterval),
-		}
+		co := campaign.ConfigOverride{RLL: rll}
 		if script != "" {
 			co.Cost = cfg.Cost
 		}
@@ -135,9 +129,11 @@ func Fig8CampaignSpec(cfg Fig8Config) campaign.Spec {
 	return spec
 }
 
-// RunFig8Campaign executes the Figure 8 matrix through the campaign
-// executor; points match RunFig8 bit for bit.
-func RunFig8Campaign(ctx context.Context, cfg Fig8Config, opts campaign.Options) ([]Fig8Point, *campaign.Summary, error) {
+// RunFig8 executes the Figure 8 matrix through the campaign executor
+// and folds the records into one point per filter count, each relative
+// to the shared baseline RTT. The points are bit-for-bit identical at
+// any opts.Workers.
+func RunFig8(ctx context.Context, cfg Fig8Config, opts campaign.Options) ([]Fig8Point, *campaign.Summary, error) {
 	cfg.fill()
 	spec := Fig8CampaignSpec(cfg)
 	recs, sum, err := collectRecords(ctx, spec, opts)
@@ -170,9 +166,13 @@ func RunFig8Campaign(ctx context.Context, cfg Fig8Config, opts campaign.Options)
 	return points, sum, nil
 }
 
-// collectRecords runs the spec and gathers its records in index order,
-// failing fast if any run did not pass.
+// collectRecords normalizes, validates and runs the spec, gathers its
+// records in index order, and fails if any run did not pass.
 func collectRecords(ctx context.Context, spec campaign.Spec, opts campaign.Options) ([]campaign.RunRecord, *campaign.Summary, error) {
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return nil, nil, err
+	}
 	var recs []campaign.RunRecord
 	user := opts.OnRecord
 	opts.OnRecord = func(r campaign.RunRecord) {

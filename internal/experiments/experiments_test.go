@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
 
 	"virtualwire"
+	"virtualwire/campaign"
 )
 
 // TestFig8Shape asserts the properties the paper reports for Figure 8:
@@ -14,7 +16,7 @@ import (
 // and the worst case stays in single digits ("never goes beyond 7%" in
 // the paper; we allow a little slack for the simulated substrate).
 func TestFig8Shape(t *testing.T) {
-	pts, err := RunFig8(Fig8Config{Pings: 150, FilterCounts: []int{1, 10, 25}})
+	pts, _, err := RunFig8(context.Background(), Fig8Config{Pings: 150, FilterCounts: []int{1, 10, 25}}, campaign.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -58,10 +60,10 @@ func TestFig8Shape(t *testing.T) {
 // rate, and the VirtualWire+RLL curve stays within ~10% of the baseline
 // with a visible knee at high offered load.
 func TestFig7Shape(t *testing.T) {
-	pts, err := RunFig7(Fig7Config{
+	pts, _, err := RunFig7(context.Background(), Fig7Config{
 		OfferedMbps: []float64{30, 60, 90, 100},
 		Duration:    time.Second,
-	})
+	}, campaign.Options{})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -116,12 +118,12 @@ func TestScriptGenerators(t *testing.T) {
 	if !strings.Contains(s7, "TCP_data") {
 		t.Errorf("fig7 script:\n%s", s7)
 	}
-	// Both must compile through the facade loader.
-	if _, err := buildPair(virtualwire.Config{}, s8); err != nil {
-		t.Fatalf("fig8 script does not load: %v", err)
+	// Both must compile through the facade.
+	if _, err := virtualwire.CompileScript(s8); err != nil {
+		t.Fatalf("fig8 script does not compile: %v", err)
 	}
-	if _, err := buildPair(virtualwire.Config{}, s7); err != nil {
-		t.Fatalf("fig7 script does not load: %v", err)
+	if _, err := virtualwire.CompileScript(s7); err != nil {
+		t.Fatalf("fig7 script does not compile: %v", err)
 	}
 }
 
@@ -129,11 +131,11 @@ func TestScriptGenerators(t *testing.T) {
 // segment for the RLL ACKs to contend on, so the knee flattens — the
 // saturated RLL goodput must beat its half-duplex counterpart.
 func TestFig7FullDuplexAblation(t *testing.T) {
-	half, err := RunFig7(Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second})
+	half, _, err := RunFig7(context.Background(), Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second}, campaign.Options{})
 	if err != nil {
 		t.Fatalf("half: %v", err)
 	}
-	full, err := RunFig7(Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second, FullDuplex: true})
+	full, _, err := RunFig7(context.Background(), Fig7Config{OfferedMbps: []float64{100}, Duration: time.Second, FullDuplex: true}, campaign.Options{})
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}

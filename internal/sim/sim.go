@@ -98,8 +98,9 @@ func (e *Event) Cancel() {
 //
 // Scheduler is not safe for concurrent use: all simulated components run
 // inside event callbacks on the same goroutine, which is the whole point.
-// (Independent Schedulers on separate goroutines — one per sweep point in
-// experiments.RunParallel — are fine; nothing is shared between them.)
+// (Independent Schedulers on separate goroutines — one per campaign
+// worker's testbed in campaign.Run — are fine; nothing is shared between
+// them.)
 type Scheduler struct {
 	now     time.Duration
 	seq     uint64

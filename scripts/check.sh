@@ -52,6 +52,24 @@ if ! cmp -s "$SHARD_A" "$SHARD_B"; then
 fi
 echo "sharded identity smoke: 1-shard and 4-shard records identical"
 
+echo "== vwbench worker identity smoke =="
+# The figure sweeps run through the campaign executor; the printed
+# Figure 7/8 tables must not depend on the worker count. A small sweep
+# of both figures at 1 and 4 workers, diffed byte for byte.
+BENCH_A="$(mktemp)"
+BENCH_B="$(mktemp)"
+trap 'rm -f "$SHARD_A" "$SHARD_B" "$BENCH_A" "$BENCH_B"' EXIT
+go run ./cmd/vwbench -fig all -rates 20,60 -duration 100ms -pings 40 -filters 1,10 \
+    -parallel 1 > "$BENCH_A"
+go run ./cmd/vwbench -fig all -rates 20,60 -duration 100ms -pings 40 -filters 1,10 \
+    -parallel 4 > "$BENCH_B"
+if ! cmp -s "$BENCH_A" "$BENCH_B"; then
+    echo "vwbench identity smoke: -parallel 4 tables differ from -parallel 1" >&2
+    diff "$BENCH_A" "$BENCH_B" >&2 || true
+    exit 1
+fi
+echo "vwbench identity smoke: 1-worker and 4-worker tables identical"
+
 echo "== fabric failover smoke =="
 # The fabric fault surface end to end through the real CLI: a 4-switch
 # ring loses its first tree trunk 5ms in, mid-ManyFlow. Spanning-tree
@@ -62,7 +80,7 @@ echo "== fabric failover smoke =="
 FAIL_A="$(mktemp)"
 FAIL_B="$(mktemp)"
 FAIL_SUM="$(mktemp)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"' EXIT
+trap 'rm -f "$SHARD_A" "$SHARD_B" "$BENCH_A" "$BENCH_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"' EXIT
 go run ./cmd/vwcampaign \
     -hosts 24 -topology ring:4 -manyflow 12:65536 \
     -trunk-fail 0@5ms \
@@ -115,7 +133,7 @@ echo "== campaign service smoke =="
 # resumed job still produces identical bytes; finally shut down cleanly
 # on SIGTERM. See docs/SERVICE.md.
 SVC_TMP="$(mktemp -d)"
-trap 'rm -f "$SHARD_A" "$SHARD_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SVC_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
+trap 'rm -f "$SHARD_A" "$SHARD_B" "$BENCH_A" "$BENCH_B" "$FAIL_A" "$FAIL_B" "$FAIL_SUM"; rm -rf "$SVC_TMP"; [ -n "${SVC_PID:-}" ] && kill -9 "$SVC_PID" 2>/dev/null || true' EXIT
 go build -o "$SVC_TMP/" ./cmd/vwcampaign ./cmd/vwcampaignd
 cat > "$SVC_TMP/spec.json" <<'EOF'
 {

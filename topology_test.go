@@ -8,7 +8,7 @@ import (
 )
 
 // Classifier strategies must be observationally equivalent: the same
-// scenario under linear, indexed, compiled and auto dispatch produces
+// scenario under linear, compiled and auto dispatch produces
 // byte-identical RunReports (same faults, verdict, metrics). The
 // strategies differ only in classification cost, which the default
 // zero-cost model does not surface.
@@ -20,7 +20,7 @@ func TestClassifierStrategiesByteIdentical(t *testing.T) {
 	}
 	var want []byte
 	for _, strat := range []ClassifierStrategy{
-		ClassifierDefault, ClassifierLinear, ClassifierIndexed,
+		ClassifierDefault, ClassifierLinear,
 		ClassifierCompiled, ClassifierAuto,
 	} {
 		tb := buildQuickstart(t, cs, Config{Seed: 77, Classifier: strat})

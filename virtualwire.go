@@ -58,12 +58,25 @@ type (
 	TraceEntry = trace.Entry
 )
 
-// Removed in this release: the deprecated `Report` alias and
+// Removed in this release: the ethertype-indexed classifier ablation —
+// ClassifierIndexed, Config.IndexedClassifier and the "indexed"
+// spelling of ParseClassifierStrategy. Use ClassifierLinear (the
+// paper's scan and the default) or ClassifierCompiled/ClassifierAuto
+// (the flat-cost fast path). Campaign specs that set
+// "indexed_classifier": true or "classifier": "indexed" are rejected
+// with a field path; "indexed_classifier": false is still accepted. The
+// hand-rolled Figure 7/8 sweep drivers and their worker pool are gone
+// too: the figures run as campaign specs through campaign.Run (see
+// docs/CAMPAIGNS.md), and cmd/vwbench drops its -metrics-out and
+// -metrics-interval flags (cmd/vwire -metrics-out still writes one
+// run's series).
+//
+// Removed in an earlier release: the deprecated `Report` alias and
 // `Testbed.Summary()`. Runs return a RunReport; render it with
 // RunReport.Text (the structured replacement for Summary) or marshal it
 // with RunReport.WriteJSON.
 //
-// Changed in this release: NodeReport.Layers is a NodeLayers slice
+// Changed in an earlier release: NodeReport.Layers is a NodeLayers slice
 // (layers sorted by name, each with sorted metric names and their
 // values) instead of map[string]map[string]float64. Its JSON is
 // unchanged. Read it with Layers.Get(layer, name) or Layers.Layer(name),
@@ -81,13 +94,10 @@ type ClassifierStrategy = core.Strategy
 
 // Classifier strategies.
 const (
-	// ClassifierDefault keeps the historical behavior: linear scan
-	// unless Config.IndexedClassifier is set.
+	// ClassifierDefault is the paper's linear first-match scan.
 	ClassifierDefault = core.StrategyDefault
 	// ClassifierLinear forces the paper's linear first-match scan.
 	ClassifierLinear = core.StrategyLinear
-	// ClassifierIndexed forces the ethertype-indexed ablation.
-	ClassifierIndexed = core.StrategyIndexed
 	// ClassifierCompiled installs the dispatch tree compiled once per
 	// program (CompileScript) and shared across all engines.
 	ClassifierCompiled = core.StrategyCompiled
@@ -97,15 +107,13 @@ const (
 )
 
 // ParseClassifierStrategy resolves a strategy name ("", "default",
-// "linear", "indexed", "compiled", "auto").
+// "linear", "compiled", "auto").
 func ParseClassifierStrategy(s string) (ClassifierStrategy, error) {
 	switch s {
 	case "", "default":
 		return ClassifierDefault, nil
 	case "linear":
 		return ClassifierLinear, nil
-	case "indexed":
-		return ClassifierIndexed, nil
 	case "compiled":
 		return ClassifierCompiled, nil
 	case "auto":
@@ -146,12 +154,9 @@ type Config struct {
 	RLLWindow int
 	// Cost is the engine processing-cost model (zero = free).
 	Cost CostModel
-	// IndexedClassifier enables the ethertype-indexed classifier
-	// ablation instead of the paper's linear scan.
-	IndexedClassifier bool
-	// Classifier selects the classification strategy explicitly
-	// (overrides IndexedClassifier when non-default); ClassifierCompiled
-	// installs the dispatch tree compiled once per script.
+	// Classifier selects the classification strategy (default linear);
+	// ClassifierCompiled installs the dispatch tree compiled once per
+	// script.
 	Classifier ClassifierStrategy
 	// Topology, when non-nil with a Kind other than TopoSingle, replaces
 	// the single switch with a generated multi-switch fabric (star,
@@ -478,7 +483,6 @@ func (tb *Testbed) addHost(name string, m packet.MAC, addr packet.IP) (*Node, er
 		engine: core.NewEngine(tb.sched, m),
 	}
 	n.engine.Cost = tb.cfg.Cost
-	n.engine.UseIndexedClassifier = tb.cfg.IndexedClassifier
 	n.engine.ClassifyStrategy = tb.cfg.Classifier
 	if tb.cfg.RLL {
 		n.rll = rll.New(tb.sched, m, rll.Config{Window: tb.cfg.RLLWindow})
