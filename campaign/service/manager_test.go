@@ -144,25 +144,32 @@ func TestCloseReopenResumesInterruptedJob(t *testing.T) {
 	spec := testSpec(60)
 	wantJSONL, wantSummary := inProcessBytes(t, spec)
 
+	// The job journals three records and then holds until Close cancels
+	// it, so the interruption point does not depend on how fast the runs
+	// are.
+	const heldRuns = 3
+	release := service.HoldJournalAfter(heldRuns)
+	defer release()
 	dir := t.TempDir()
 	m1 := openManager(t, dir, 2)
+	defer m1.Close() // a no-op once closed below; it must precede release
 	st, err := m1.Submit("acme", spec, 2)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// Let a few records reach the journal, then stop the daemon the way
-	// a SIGTERM would.
+	// Let the held records reach the journal, then stop the daemon the
+	// way a SIGTERM would.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		cur, err := m1.Get(st.ID)
 		if err != nil {
 			t.Fatalf("Get: %v", err)
 		}
-		if cur.Completed >= 3 {
+		if cur.Completed >= heldRuns {
 			break
 		}
-		if cur.State == service.StateDone {
-			t.Skip("campaign finished before it could be interrupted")
+		if cur.State != service.StateRunning && cur.State != service.StateQueued {
+			t.Fatalf("job left the running state before the hold: %+v", cur)
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("no progress before deadline: %+v", cur)
@@ -170,15 +177,17 @@ func TestCloseReopenResumesInterruptedJob(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	m1.Close()
+	release()
 
 	partial := readJournal(t, dir, st.ID)
-	if len(partial) == 0 || len(partial) >= len(wantJSONL) {
-		t.Fatalf("interrupted journal is %d bytes of %d", len(partial), len(wantJSONL))
-	}
 	if !bytes.HasPrefix(wantJSONL, partial) {
 		t.Fatal("interrupted journal is not a prefix of the uninterrupted run")
 	}
 	priorRuns := bytes.Count(partial, []byte("\n"))
+	if priorRuns != heldRuns {
+		t.Fatalf("interrupted journal holds %d records (%d of %d bytes), want exactly %d",
+			priorRuns, len(partial), len(wantJSONL), heldRuns)
+	}
 
 	m2 := openManager(t, dir, 2)
 	defer m2.Close()

@@ -67,13 +67,13 @@ type Manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string            // job IDs in submit order
-	tenants  []string            // tenant names in first-appearance order
-	queues   map[string][]*Job   // tenant → queued jobs, FIFO
-	rrNext   int                 // round-robin cursor into tenants
-	free     int                 // free worker slots
-	nextSeq  int                 // next job sequence number
-	startSeq int                 // scheduler start counter (fairness observable)
+	order    []string          // job IDs in submit order
+	tenants  []string          // tenant names in first-appearance order
+	queues   map[string][]*Job // tenant → queued jobs, FIFO
+	rrNext   int               // round-robin cursor into tenants
+	free     int               // free worker slots
+	nextSeq  int               // next job sequence number
+	startSeq int               // scheduler start counter (fairness observable)
 	closed   bool
 
 	closedCh chan struct{}
@@ -351,7 +351,7 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 		m.finishJob(j, nil, fmt.Errorf("service: open journal: %w", err))
 		return
 	}
-	sink := &journalSink{f: f, j: j}
+	sink := &journalSink{ctx: ctx, f: f, j: j}
 	opts := campaign.Options{
 		Workers:     j.workers,
 		Sink:        sink,
@@ -371,13 +371,27 @@ func (m *Manager) runJob(ctx context.Context, j *Job) {
 // the new safe length. The campaign collector writes exactly one line
 // per call, so safeLen only ever advances over complete records.
 type journalSink struct {
-	f *os.File
-	j *Job
+	ctx     context.Context
+	f       *os.File
+	j       *Job
+	written int // records this executor has appended
 }
 
+// holdJournal, when set, is consulted before every journal append with
+// the number of records the executor has appended so far; an error
+// fails the append, which stops the job's journal there. Only tests set
+// it (export_test.go), to interrupt a job at an exact record.
+var holdJournal func(ctx context.Context, written int) error
+
 func (s *journalSink) Write(p []byte) (int, error) {
+	if holdJournal != nil {
+		if err := holdJournal(s.ctx, s.written); err != nil {
+			return 0, err
+		}
+	}
 	n, err := s.f.Write(p)
 	if err == nil {
+		s.written++
 		s.j.safeLen.Add(int64(n))
 	}
 	return n, err

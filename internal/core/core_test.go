@@ -10,6 +10,7 @@ import (
 	"virtualwire/internal/ether"
 	"virtualwire/internal/fsl"
 	"virtualwire/internal/packet"
+	"virtualwire/internal/rll"
 	"virtualwire/internal/sim"
 	"virtualwire/internal/stack"
 )
@@ -43,12 +44,25 @@ func header(nHosts, nFilters int) string {
 
 func newRig(t testing.TB, seed int64, nHosts int, script string) *rig {
 	t.Helper()
+	return newRigWith(t, seed, nHosts, script, rigOpts{})
+}
+
+// rigOpts varies the rig: a frame pool on the bus (delivered frames are
+// then recycled), an RLL under every engine, and the engines' cost model.
+type rigOpts struct {
+	pool *ether.FramePool
+	rll  bool
+	cost core.CostModel
+}
+
+func newRigWith(t testing.TB, seed int64, nHosts int, script string, o rigOpts) *rig {
+	t.Helper()
 	prog, err := fsl.Compile(script)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
 	s := sim.NewScheduler(seed)
-	bus := ether.NewSharedBus(s, ether.BusConfig{})
+	bus := ether.NewSharedBus(s, ether.BusConfig{Pool: o.pool})
 	r := &rig{sched: s, prog: prog}
 	for i := 0; i < nHosts; i++ {
 		mac := packet.MAC{0, 0, 0, 0, 0, byte(i + 1)}
@@ -56,7 +70,14 @@ func newRig(t testing.TB, seed int64, nHosts int, script string) *rig {
 		h := stack.NewHost(s, fmt.Sprintf("node%d", i+1), mac, ip)
 		bus.Attach(h.NIC)
 		eng := core.NewEngine(s, mac)
-		h.Build(eng)
+		eng.Cost = o.cost
+		if o.rll {
+			l := rll.New(s, mac, rll.Config{})
+			l.SetPool(o.pool)
+			h.Build(l, eng)
+		} else {
+			h.Build(eng)
+		}
 		r.hosts = append(r.hosts, h)
 		r.engines = append(r.engines, eng)
 	}
@@ -268,6 +289,61 @@ END`
 	// Frame offset 42 is UDP payload byte 0 (14+20+8).
 	if len(payload) < 2 || payload[0] != 0xde || payload[1] != 0xad {
 		t.Errorf("MODIFY payload = %x, want 0xdead prefix", payload)
+	}
+}
+
+// TestDupCopiesSurviveRecycling runs DUP where frames are recycled: on a
+// pooled bus the IP layer returns every delivered frame to the pool as
+// soon as its handler returns, and the RLL returns every frame it has
+// encapsulated. The duplicate must therefore be cloned before the
+// original moves on; a clone taken afterwards copies a recycled (empty
+// or overwritten) buffer. Both directions, with and without the cost
+// model's delayed forwarding: the receiver must get two intact copies.
+func TestDupCopiesSurviveRecycling(t *testing.T) {
+	for _, dir := range []string{"SEND", "RECV"} {
+		for _, cost := range []time.Duration{0, 30 * time.Microsecond} {
+			t.Run(fmt.Sprintf("%s/cost=%v", dir, cost), func(t *testing.T) {
+				script := header(2, 1) + `
+SCENARIO dup_recycle
+C: (p0, node1, node2, ` + dir + `)
+(TRUE) >> ENABLE_CNTR( C );
+((C = 1)) >> DUP( p0, node1, node2, ` + dir + ` );
+END`
+				r := newRigWith(t, 5, 2, script, rigOpts{
+					pool: ether.NewFramePool(),
+					rll:  true,
+					cost: core.CostModel{Base: cost},
+				})
+				want := []byte("duplicate me intact, byte for byte")
+				sock, err := r.hosts[1].UDP.Bind(7000)
+				if err != nil {
+					t.Fatalf("bind: %v", err)
+				}
+				intact, mangled := 0, 0
+				sock.OnDatagram = func(_ packet.IP, _ uint16, p []byte) {
+					if string(p) == string(want) {
+						intact++
+					} else {
+						mangled++
+					}
+				}
+				r.launch(t)
+				sender, err := r.hosts[0].UDP.Bind(5000)
+				if err != nil {
+					t.Fatalf("bind: %v", err)
+				}
+				if err := sender.SendTo(r.hosts[1].IP, 7000, want); err != nil {
+					t.Fatalf("send: %v", err)
+				}
+				r.run(t, time.Second)
+				if intact != 2 || mangled != 0 {
+					t.Errorf("receiver got %d intact and %d mangled copies, want 2 intact", intact, mangled)
+				}
+				if got := r.engines[0].Stats.Dups + r.engines[1].Stats.Dups; got != 1 {
+					t.Errorf("engines fired %d DUPs, want 1", got)
+				}
+			})
+		}
 	}
 }
 

@@ -123,6 +123,9 @@ type Engine struct {
 	// falls back to heap allocation — detected by e.cur being set.
 	ctxScratch   packetCtx
 	matchScratch []CounterID
+	// firedStack holds the conditions sweepConds is about to fire,
+	// nested sweeps stacked above outer ones (see sweepConds).
+	firedStack []CondID
 
 	initChunks [][]byte
 	initGot    int
@@ -140,6 +143,11 @@ type Engine struct {
 
 	lastActivity time.Duration
 	activitySent bool
+
+	// injectSend/injectRecv re-inject the frame they are given (the event
+	// argument) beyond the engine. Bound once in NewEngine, they let the
+	// per-frame vw.cost and vw.delay events schedule without a closure.
+	injectSend, injectRecv func(any)
 
 	// Cost is the virtual processing-time model (zero = free).
 	Cost CostModel
@@ -168,7 +176,10 @@ var _ stack.Layer = (*Engine)(nil)
 // inert until it receives INIT and START from the controller (or is
 // loaded directly via LoadLocal).
 func NewEngine(sched *sim.Scheduler, mac packet.MAC) *Engine {
-	return &Engine{sched: sched, mac: mac, self: -1, controlNode: -1}
+	e := &Engine{sched: sched, mac: mac, self: -1, controlNode: -1}
+	e.injectSend = func(a any) { e.inject(a.(*ether.Frame), DirSend) }
+	e.injectRecv = func(a any) { e.inject(a.(*ether.Frame), DirRecv) }
+	return e
 }
 
 // SetScheduler rebinds the engine to another scheduler. The sharded
@@ -366,6 +377,7 @@ func (e *Engine) Reset() {
 	e.reorders = e.reorders[:0]
 	e.cur = nil
 	e.cascadeDepth = 0
+	e.firedStack = e.firedStack[:0]
 	e.active = false
 	e.failed = false
 	e.initChunks = nil
@@ -425,21 +437,39 @@ func (e *Engine) forward(fr *ether.Frame, dir Direction, consumed bool, cost tim
 		e.Stats.FailConsumed++
 		return
 	}
+	var cp *ether.Frame
+	if dup {
+		// Clone before the original moves on: once injected it belongs to
+		// the layers beyond, and delivery recycles it as soon as the IP
+		// layer is done, so a clone taken afterwards would copy a
+		// recycled buffer.
+		cp = fr.Clone()
+	}
 	if cost > 0 {
-		// Only the delayed path pays for a closure; the common zero-cost
-		// path emits inline, allocation-free.
+		if cp == nil {
+			e.sched.AfterArg(cost, "vw.cost", e.injectFn(dir), fr)
+			return
+		}
+		// A DUP under the cost model is one event emitting both copies;
+		// only this rare path pays for a closure.
 		e.sched.After(cost, "vw.cost", func() {
 			e.inject(fr, dir)
-			if dup {
-				e.inject(fr.Clone(), dir)
-			}
+			e.inject(cp, dir)
 		})
 		return
 	}
 	e.inject(fr, dir)
-	if dup {
-		e.inject(fr.Clone(), dir)
+	if cp != nil {
+		e.inject(cp, dir)
 	}
+}
+
+// injectFn returns the pre-bound inject callback for a direction.
+func (e *Engine) injectFn(dir Direction) func(any) {
+	if dir == DirSend {
+		return e.injectSend
+	}
+	return e.injectRecv
 }
 
 // inject re-introduces a frame beyond the engine in the given direction.
@@ -617,7 +647,10 @@ func (e *Engine) operandValue(o Operand) int64 {
 // tests (Figure 6's TokensTo2 does exactly this), and the later rule
 // must still see the pre-action state.
 func (e *Engine) sweepConds(conds []CondID) {
-	var fired []CondID
+	// The conditions to fire go on a stack shared with the sweeps nested
+	// inside fireCond's cascade: each sweep pushes above the previous
+	// top and pops back to it, so no sweep allocates.
+	base := len(e.firedStack)
 	for _, c := range conds {
 		if !e.condHere[c] {
 			continue
@@ -627,12 +660,13 @@ func (e *Engine) sweepConds(conds []CondID) {
 		old := e.condStatus[c]
 		e.condStatus[c] = newS
 		if newS && !old {
-			fired = append(fired, c)
+			e.firedStack = append(e.firedStack, c)
 		}
 	}
-	for _, c := range fired {
-		e.fireCond(c)
+	for i, end := base, len(e.firedStack); i < end; i++ {
+		e.fireCond(e.firedStack[i])
 	}
+	e.firedStack = e.firedStack[:base]
 }
 
 func (e *Engine) evalExpr(x *CondExpr) bool {
@@ -805,8 +839,7 @@ func (e *Engine) applyFault(id ActionID, ctx *packetCtx) {
 		e.Stats.Delays++
 		ctx.consumed = true
 		d := roundUpToJiffy(a.Duration)
-		fr, dir := ctx.fr, ctx.dir
-		e.sched.After(d, "vw.delay", func() { e.inject(fr, dir) })
+		e.sched.AfterArg(d, "vw.delay", e.injectFn(ctx.dir), ctx.fr)
 	case ActDup:
 		e.Stats.Dups++
 		ctx.dup = true

@@ -60,6 +60,11 @@ type SharedBus struct {
 	waiting []*NIC
 	// releaseFn is the pre-bound release callback (see scheduleRelease).
 	releaseFn func()
+	// deliverFns[i] hands a frame (the event argument) to nics[i]; retryFn
+	// re-kicks the NIC it is given. Both are bound once, so per-frame and
+	// per-collision events schedule without a fresh closure.
+	deliverFns []func(any)
+	retryFn    func(any)
 	// idleAt is the earliest instant a deferred station may begin
 	// transmitting (end of last activity plus inter-frame gap).
 	idleAt time.Duration
@@ -86,6 +91,11 @@ func NewSharedBus(sched *sim.Scheduler, cfg BusConfig) *SharedBus {
 	cfg.fill()
 	b := &SharedBus{cfg: cfg, sched: sched}
 	b.releaseFn = b.release
+	b.retryFn = func(a any) {
+		if n := a.(*NIC); n.head() != nil {
+			b.kick(n)
+		}
+	}
 	return b
 }
 
@@ -107,6 +117,12 @@ func (b *SharedBus) Attach(n *NIC) {
 	n.medium = b
 	n.pool = b.cfg.Pool
 	b.nics = append(b.nics, n)
+	b.deliverFns = append(b.deliverFns, func(a any) {
+		fr := a.(*Frame)
+		b.DeliveredFrames++
+		b.DeliveredBytes += uint64(len(fr.Data))
+		n.deliver(fr)
+	})
 }
 
 // kick implements Medium: n has at least one queued frame.
@@ -230,11 +246,7 @@ func (b *SharedBus) collide() {
 // deferRetry re-kicks a NIC after d, bypassing the duplicate-suppression
 // in kick (the NIC is no longer listed as active or waiting).
 func (b *SharedBus) deferRetry(n *NIC, d time.Duration) {
-	b.sched.After(d, "bus.retry", func() {
-		if n.head() != nil {
-			b.kick(n)
-		}
-	})
+	b.sched.AfterArg(d, "bus.retry", b.retryFn, n)
 }
 
 func (b *SharedBus) finishTx(tx *activeTx) {
@@ -257,7 +269,7 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 	// original is dead once the copies exist — per the ownership
 	// protocol the sender relinquished it at Send — and is recycled.
 	bits := wireBytes(len(fr.Data)) * 8
-	for _, dst := range b.nics {
+	for i, dst := range b.nics {
 		if dst == tx.nic {
 			continue
 		}
@@ -266,12 +278,7 @@ func (b *SharedBus) finishTx(tx *activeTx) {
 			cp.Corrupt = true
 			b.flipBit(cp)
 		}
-		dstNIC := dst
-		b.sched.After(b.cfg.Propagation, "bus.deliver", func() {
-			b.DeliveredFrames++
-			b.DeliveredBytes += uint64(len(cp.Data))
-			dstNIC.deliver(cp)
-		})
+		b.sched.AfterArg(b.cfg.Propagation, "bus.deliver", b.deliverFns[i], cp)
 	}
 	b.cfg.Pool.Put(fr)
 
@@ -297,8 +304,12 @@ func (b *SharedBus) recycle(tx *activeTx) {
 // head of their NIC's transmit queue and are recycled by NIC.Reset;
 // pending bus events are assumed cancelled (scheduler reset).
 func (b *SharedBus) Reset() {
-	b.active = nil
-	b.waiting = nil
+	// Truncate rather than drop the queues, so a reused bus does not
+	// regrow them on its next run.
+	clear(b.active)
+	b.active = b.active[:0]
+	clear(b.waiting)
+	b.waiting = b.waiting[:0]
 	b.idleAt = 0
 	b.TotalCollisions = 0
 	b.DeliveredFrames = 0

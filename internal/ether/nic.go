@@ -75,6 +75,11 @@ func NewNIC(sched *sim.Scheduler, mac packet.MAC, txqCap int) *NIC {
 // (store-and-forward timing is handled by the medium).
 func (n *NIC) SetRecv(fn func(*Frame)) { n.recv = fn }
 
+// Pool returns the frame pool of the medium the NIC is attached to (nil
+// before Attach or on an unpooled medium; a nil pool allocates). Hosts
+// build outbound frames from it and recycle delivered frames into it.
+func (n *NIC) Pool() *FramePool { return n.pool }
+
 // Scheduler returns the simulation scheduler the NIC runs on.
 func (n *NIC) Scheduler() *sim.Scheduler { return n.sched }
 

@@ -17,9 +17,11 @@ import (
 //     not retain it (the RLL clones before transmitting for exactly this
 //     reason). The medium recycles it once it has been serialized and
 //     cloned for delivery.
-//   - A frame handed to a NIC's receive upcall is owned by the receiver
-//     forever: protocol stacks keep sub-slices of Data (IP payloads, TCP
-//     segments), so delivered frames are never recycled.
+//   - A frame handed to a NIC's receive upcall is owned by the receiving
+//     stack until its IP layer has handled it: stack.IPStack.DeliverUp
+//     returns it to the NIC's pool when the transport handler returns.
+//     Payload slices handed to transport callbacks are borrowed for the
+//     duration of the callback only.
 //   - Frames the NIC drops before the upcall (destination filter, FCS
 //     check, transmit-queue overflow, collision expiry) are recycled.
 //
@@ -46,6 +48,22 @@ type FramePool struct {
 // MTU-bounded) is left to the garbage collector.
 const maxPooledCap = 4096
 
+// minPooledCap is the capacity every buffer the pool allocates gets at
+// least: a full-size TCP segment inside an RLL encapsulation (1469
+// bytes) fits, so a recycled 54-byte ACK buffer can carry the next data
+// segment instead of being replaced by a fresh backing array.
+const minPooledCap = 1536
+
+// newData returns a buffer of length n with at least minPooledCap
+// capacity.
+func newData(n int) []byte {
+	c := n
+	if c < minPooledCap {
+		c = minPooledCap
+	}
+	return make([]byte, n, c)
+}
+
 // NewFramePool returns an empty pool.
 func NewFramePool() *FramePool {
 	return &FramePool{maxFree: 4096}
@@ -67,11 +85,12 @@ func (p *FramePool) Get(n int) *Frame {
 			fr.Data = fr.Data[:n]
 			return fr
 		}
-		// Undersized buffer: keep the struct, replace the backing array.
-		fr.Data = make([]byte, n)
+		// Undersized buffer (one that entered the pool from outside,
+		// such as a Frame.Clone): keep the struct, replace the array.
+		fr.Data = newData(n)
 		return fr
 	}
-	return &Frame{Data: make([]byte, n)}
+	return &Frame{Data: newData(n)}
 }
 
 // Clone returns a copy of fr backed by a recycled buffer when one is
@@ -96,6 +115,7 @@ func (p *FramePool) Put(fr *Frame) {
 		return
 	}
 	p.Puts++
+	poison(fr.Data)
 	fr.Corrupt = false
 	fr.ID = 0
 	fr.Data = fr.Data[:0]

@@ -64,6 +64,10 @@ type switchPort struct {
 	// failed marks a dead port (trunk failure injection): like blocked,
 	// but fault state rather than spanning-tree state — Reset clears it.
 	failed bool
+	// forward runs the forwarding decision for a frame (the event
+	// argument) that entered on this port, bound once per port so the
+	// store-and-forward event needs no per-frame closure.
+	forward func(any)
 }
 
 // Switch is a learning, store-and-forward Ethernet switch. Each attached
@@ -144,6 +148,7 @@ func (sw *Switch) addPort(seg Medium, trunk bool) int {
 	pn.Promiscuous = true
 	seg.Attach(pn)
 	port := &switchPort{segment: seg, nic: pn, trunk: trunk}
+	port.forward = func(a any) { sw.forward(idx, a.(*Frame)) }
 	pn.SetRecv(func(fr *Frame) { sw.ingress(idx, fr) })
 	sw.ports = append(sw.ports, port)
 	return idx
@@ -225,46 +230,48 @@ func (sw *Switch) ingress(idx int, fr *Frame) {
 	}
 	src := fr.Src()
 	sw.table[src] = idx
+	sw.sched.AfterArg(sw.cfg.Latency, "switch.forward", sw.ports[idx].forward, fr)
+}
+
+// forward is the store-and-forward decision for a frame that entered on
+// port idx. It is taken at fire time, not ingress time: during the
+// store-and-forward latency the switch can crash, a trunk can fail, and a
+// reconvergence can flush the table or re-block the learned out-port. A
+// decision snapshotted at ingress would forward into a dead port.
+func (sw *Switch) forward(idx int, fr *Frame) {
+	if sw.down {
+		sw.DroppedFrames++
+		sw.cfg.Pool.Put(fr)
+		return
+	}
 	dst := fr.Dst()
-	sw.sched.After(sw.cfg.Latency, "switch.forward", func() {
-		// The forwarding decision is taken at fire time, not ingress
-		// time: during the store-and-forward latency the switch can
-		// crash, a trunk can fail, and a reconvergence can flush the
-		// table or re-block the learned out-port. A decision snapshotted
-		// at ingress would forward into a dead port.
-		if sw.down {
+	if out, known := sw.table[dst]; known && !dst.IsBroadcast() {
+		p := sw.ports[out]
+		if out == idx || p.blocked || p.failed {
 			sw.DroppedFrames++
 			sw.cfg.Pool.Put(fr)
 			return
 		}
-		if out, known := sw.table[dst]; known && !dst.IsBroadcast() {
-			p := sw.ports[out]
-			if out == idx || p.blocked || p.failed {
-				sw.DroppedFrames++
-				sw.cfg.Pool.Put(fr)
-				return
-			}
-			sw.ForwardedFrames++
-			p.nic.Send(fr)
-			return
+		sw.ForwardedFrames++
+		p.nic.Send(fr)
+		return
+	}
+	sent := false
+	for i, p := range sw.ports {
+		if i == idx || p.blocked || p.failed {
+			continue
 		}
-		sent := false
-		for i, p := range sw.ports {
-			if i == idx || p.blocked || p.failed {
-				continue
-			}
-			sent = true
-			p.nic.Send(sw.cfg.Pool.Clone(fr))
-		}
-		if sent {
-			sw.FloodedFrames++
-		} else {
-			// Every egress was blocked/failed: the frame went nowhere
-			// and must still be accounted for.
-			sw.DroppedFrames++
-		}
-		sw.cfg.Pool.Put(fr)
-	})
+		sent = true
+		p.nic.Send(sw.cfg.Pool.Clone(fr))
+	}
+	if sent {
+		sw.FloodedFrames++
+	} else {
+		// Every egress was blocked/failed: the frame went nowhere
+		// and must still be accounted for.
+		sw.DroppedFrames++
+	}
+	sw.cfg.Pool.Put(fr)
 }
 
 // Reset clears the learning table, forwarding counters, fault state
@@ -411,6 +418,11 @@ type Link struct {
 	active [2]bool          // per-direction: a txEnd event is pending
 	rng    *rand.Rand       // optional pinned source (see SetRand)
 	failed bool             // fault injection: no new transmissions start
+	// Per-direction callbacks bound once in NewLink: txEndFns[dir]
+	// completes a transmission, deliverFns[dir] hands the delivery copy
+	// (the event argument) to the far end.
+	txEndFns   [2]func()
+	deliverFns [2]func(any)
 }
 
 var _ Medium = (*Link)(nil)
@@ -418,7 +430,12 @@ var _ Medium = (*Link)(nil)
 // NewLink returns an empty link; attach exactly two NICs.
 func NewLink(sched *sim.Scheduler, cfg LinkConfig) *Link {
 	cfg.fill()
-	return &Link{cfg: cfg, sched: sched}
+	l := &Link{cfg: cfg, sched: sched}
+	for dir := range l.txEndFns {
+		l.txEndFns[dir] = func() { l.txEnd(dir) }
+		l.deliverFns[dir] = func(a any) { l.ends[1-dir].deliver(a.(*Frame)) }
+	}
+	return l
 }
 
 // Attach implements Medium.
@@ -544,30 +561,35 @@ func (l *Link) pump(dir int) {
 	dur := txDuration(len(fr.Data), l.cfg.BitsPerSecond) + bitTime(IFGBits, l.cfg.BitsPerSecond)
 	l.active[dir] = true
 	l.busy[dir] = now + dur
-	l.sched.At(now+dur, "link.txEnd", func() {
-		out := src.dequeue()
-		src.txDone(out)
-		dst := l.ends[1-dir]
-		cp := l.cfg.Pool.Clone(out)
-		bits := wireBytes(len(out.Data)) * 8
-		if l.cfg.BitErrorRate > 0 {
-			p := float64(bits) * l.cfg.BitErrorRate
-			if p > 1 {
-				p = 1
-			}
-			if l.rand().Float64() < p {
-				cp.Corrupt = true
-				if len(cp.Data) > 12 {
-					i := 12 + l.rand().Intn(len(cp.Data)-12)
-					cp.Data[i] ^= 1 << uint(l.rand().Intn(8))
-				}
+	l.sched.At(now+dur, "link.txEnd", l.txEndFns[dir])
+}
+
+// txEnd completes the in-flight transmission in direction dir: the
+// delivery copy leaves after the propagation delay and the next queued
+// frame starts.
+func (l *Link) txEnd(dir int) {
+	src := l.ends[dir]
+	out := src.dequeue()
+	src.txDone(out)
+	cp := l.cfg.Pool.Clone(out)
+	bits := wireBytes(len(out.Data)) * 8
+	if l.cfg.BitErrorRate > 0 {
+		p := float64(bits) * l.cfg.BitErrorRate
+		if p > 1 {
+			p = 1
+		}
+		if l.rand().Float64() < p {
+			cp.Corrupt = true
+			if len(cp.Data) > 12 {
+				i := 12 + l.rand().Intn(len(cp.Data)-12)
+				cp.Data[i] ^= 1 << uint(l.rand().Intn(8))
 			}
 		}
-		// The delivery copy is on its way; the transmitted original is
-		// dead and goes back to the pool.
-		l.cfg.Pool.Put(out)
-		l.active[dir] = false
-		l.sched.After(l.cfg.Propagation, "link.deliver", func() { dst.deliver(cp) })
-		l.pump(dir)
-	})
+	}
+	// The delivery copy is on its way; the transmitted original is
+	// dead and goes back to the pool.
+	l.cfg.Pool.Put(out)
+	l.active[dir] = false
+	l.sched.AfterArg(l.cfg.Propagation, "link.deliver", l.deliverFns[dir], cp)
+	l.pump(dir)
 }

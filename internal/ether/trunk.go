@@ -48,6 +48,18 @@ type trunkHalf struct {
 	active    bool // a txEnd event is pending
 	failed    bool // fault injection: no new transmissions start
 	outbox    []trunkDeposit
+
+	// txEndFn and deliverFn are bound once (newTrunkHalf) so the
+	// per-frame events schedule without a fresh closure.
+	txEndFn   func()
+	deliverFn func(any)
+}
+
+func newTrunkHalf(cfg LinkConfig, src, dst *sim.Scheduler) *trunkHalf {
+	h := &trunkHalf{cfg: cfg, sched: src, dstSched: dst}
+	h.txEndFn = h.txEnd
+	h.deliverFn = func(a any) { h.dst.deliver(a.(*Frame)) }
+	return h
 }
 
 var _ Medium = (*trunkHalf)(nil)
@@ -92,38 +104,40 @@ func (h *trunkHalf) pump() {
 	dur := txDuration(len(fr.Data), h.cfg.BitsPerSecond) + bitTime(IFGBits, h.cfg.BitsPerSecond)
 	h.active = true
 	h.busyUntil = now + dur
-	h.sched.At(now+dur, "trunk.txEnd", func() {
-		out := h.src.dequeue()
-		h.src.txDone(out)
-		cp := h.cfg.Pool.Clone(out)
-		bits := wireBytes(len(out.Data)) * 8
-		if h.cfg.BitErrorRate > 0 {
-			p := float64(bits) * h.cfg.BitErrorRate
-			if p > 1 {
-				p = 1
-			}
-			if h.rand().Float64() < p {
-				cp.Corrupt = true
-				if len(cp.Data) > 12 {
-					i := 12 + h.rand().Intn(len(cp.Data)-12)
-					cp.Data[i] ^= 1 << uint(h.rand().Intn(8))
-				}
+	h.sched.At(now+dur, "trunk.txEnd", h.txEndFn)
+}
+
+// txEnd completes the in-flight transmission: the finished copy goes to
+// the outbox stamped with its arrival time, and the next frame starts.
+func (h *trunkHalf) txEnd() {
+	out := h.src.dequeue()
+	h.src.txDone(out)
+	cp := h.cfg.Pool.Clone(out)
+	bits := wireBytes(len(out.Data)) * 8
+	if h.cfg.BitErrorRate > 0 {
+		p := float64(bits) * h.cfg.BitErrorRate
+		if p > 1 {
+			p = 1
+		}
+		if h.rand().Float64() < p {
+			cp.Corrupt = true
+			if len(cp.Data) > 12 {
+				i := 12 + h.rand().Intn(len(cp.Data)-12)
+				cp.Data[i] ^= 1 << uint(h.rand().Intn(8))
 			}
 		}
-		h.cfg.Pool.Put(out)
-		h.active = false
-		h.outbox = append(h.outbox, trunkDeposit{fr: cp, at: h.sched.Now() + h.cfg.Propagation})
-		h.pump()
-	})
+	}
+	h.cfg.Pool.Put(out)
+	h.active = false
+	h.outbox = append(h.outbox, trunkDeposit{fr: cp, at: h.sched.Now() + h.cfg.Propagation})
+	h.pump()
 }
 
 // drain schedules every deposited frame onto the destination scheduler.
 // Only the coordinator calls this, at a barrier, with all shards parked.
 func (h *trunkHalf) drain() {
 	for i, d := range h.outbox {
-		fr := d.fr
-		dst := h.dst
-		h.dstSched.At(d.at, "trunk.deliver", func() { dst.deliver(fr) })
+		h.dstSched.AtArg(d.at, "trunk.deliver", h.deliverFn, d.fr)
 		h.outbox[i] = trunkDeposit{}
 	}
 	h.outbox = h.outbox[:0]
@@ -171,8 +185,8 @@ func ConnectTrunkChannel(a, b *Switch, acfg, bcfg LinkConfig) (*TrunkChannel, in
 	if bcfg.Pool == nil {
 		bcfg.Pool = b.cfg.Pool
 	}
-	ab := &trunkHalf{cfg: acfg, sched: a.sched, dstSched: b.sched}
-	ba := &trunkHalf{cfg: bcfg, sched: b.sched, dstSched: a.sched}
+	ab := newTrunkHalf(acfg, a.sched, b.sched)
+	ba := newTrunkHalf(bcfg, b.sched, a.sched)
 	aPort := a.addPort(ab, true)
 	bPort := b.addPort(ba, true)
 	ab.dst = b.ports[bPort].nic

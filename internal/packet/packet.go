@@ -339,10 +339,26 @@ func FlagString(flags byte) string {
 	return string(out)
 }
 
-// BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame.
+// TCPFrameLen is the length of an Ethernet+IPv4+TCP frame carrying n
+// payload bytes.
+func TCPFrameLen(n int) int { return EthHeaderLen + IPv4HeaderLen + TCPHeaderLen + n }
+
+// UDPFrameLen is the length of an Ethernet+IPv4+UDP frame carrying n
+// payload bytes.
+func UDPFrameLen(n int) int { return EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + n }
+
+// BuildTCPFrame assembles a complete Ethernet+IPv4+TCP frame in a fresh
+// buffer.
 func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) []byte {
-	total := EthHeaderLen + IPv4HeaderLen + TCPHeaderLen + len(payload)
-	b := make([]byte, total)
+	b := make([]byte, TCPFrameLen(len(payload)))
+	PutTCPFrame(b, srcMAC, dstMAC, srcIP, dstIP, h, payload)
+	return b
+}
+
+// PutTCPFrame writes a complete Ethernet+IPv4+TCP frame into b, which
+// must be exactly TCPFrameLen(len(payload)) long. Every byte is written,
+// so b may be a recycled buffer with stale contents.
+func PutTCPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) {
 	PutEth(b, Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4})
 	PutIPv4(b[OffIPHeader:], IPv4{
 		TotalLen: uint16(IPv4HeaderLen + TCPHeaderLen + len(payload)),
@@ -352,13 +368,20 @@ func BuildTCPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h TCP, payload []byte) [
 	})
 	PutTCP(b[OffIPHeader+IPv4HeaderLen:], h)
 	copy(b[OffIPHeader+IPv4HeaderLen+TCPHeaderLen:], payload)
+}
+
+// BuildUDPFrame assembles a complete Ethernet+IPv4+UDP frame in a fresh
+// buffer.
+func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) []byte {
+	b := make([]byte, UDPFrameLen(len(payload)))
+	PutUDPFrame(b, srcMAC, dstMAC, srcIP, dstIP, h, payload)
 	return b
 }
 
-// BuildUDPFrame assembles a complete Ethernet+IPv4+UDP frame.
-func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) []byte {
-	total := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + len(payload)
-	b := make([]byte, total)
+// PutUDPFrame writes a complete Ethernet+IPv4+UDP frame into b, which
+// must be exactly UDPFrameLen(len(payload)) long. Every byte is written,
+// so b may be a recycled buffer with stale contents.
+func PutUDPFrame(b []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) {
 	PutEth(b, Eth{Dst: dstMAC, Src: srcMAC, Type: EtherTypeIPv4})
 	PutIPv4(b[OffIPHeader:], IPv4{
 		TotalLen: uint16(IPv4HeaderLen + UDPHeaderLen + len(payload)),
@@ -369,5 +392,4 @@ func BuildUDPFrame(srcMAC, dstMAC MAC, srcIP, dstIP IP, h UDP, payload []byte) [
 	h.Length = uint16(UDPHeaderLen + len(payload))
 	PutUDP(b[OffIPHeader+IPv4HeaderLen:], h)
 	copy(b[OffIPHeader+IPv4HeaderLen+UDPHeaderLen:], payload)
-	return b
 }

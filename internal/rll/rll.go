@@ -107,6 +107,7 @@ type peerSend struct {
 	inflight []*ether.Frame // encapsulated frames, base..nextSeq-1
 	backlog  []*ether.Frame // encapsulated frames waiting for window space
 	timer    *sim.Timer
+	onTimer  func() // the timeout callback, bound once per peer
 	retries  int
 	rto      time.Duration
 	// resync is set after a give-up advanced base past undelivered
@@ -225,16 +226,19 @@ func (r *RLL) SendDown(fr *ether.Frame) {
 		return
 	}
 	dst := fr.Dst()
+	// The original is dead once its bytes are copied into the
+	// encapsulation: a frame handed down is owned by the layer below, and
+	// callers above (the engine's DUP action) clone before they send.
 	if dst.IsBroadcast() {
 		r.Stats.Unreliable++
-		// The original is copied into enc but NOT recycled here: callers
-		// above (the engine's DUP action) may still clone it synchronously
-		// after PassDown returns, exactly as they may with a raw NIC send.
-		r.base.PassDown(r.encap(fr, typeUnreliable, 0, 0))
+		enc := r.encap(fr, typeUnreliable, 0, 0)
+		r.pool.Put(fr)
+		r.base.PassDown(enc)
 		return
 	}
 	ps := r.sendState(dst)
 	enc := r.encap(fr, typeData, ps.nextSeq, 0)
+	r.pool.Put(fr)
 	ps.nextSeq++
 	if len(ps.inflight) >= r.cfg.Window {
 		r.Stats.BlockedQueued++
@@ -245,7 +249,7 @@ func (r *RLL) SendDown(fr *ether.Frame) {
 	r.transmit(enc)
 	r.Stats.DataSent++
 	if !ps.timer.Armed() {
-		r.armTimer(dst, ps)
+		r.armTimer(ps)
 	}
 }
 
@@ -337,7 +341,7 @@ func serialLT(a, b uint32) bool { return int32(a-b) < 0 }
 // bytes) and passes it up. The upcall frame comes from the pool and the
 // spent outer frame goes back to it: the inner bytes are copied out, so
 // nothing retains the outer buffer, while the upcall frame transfers to
-// the receiver per the ownership protocol (never recycled by us).
+// the layers above (the IP layer recycles it once it is done).
 func (r *RLL) deliverInner(outer *ether.Frame, inner []byte) {
 	up := r.pool.Get(12 + len(inner))
 	copy(up.Data, outer.Data[0:12]) // dst + src are shared with the outer frame
@@ -364,7 +368,7 @@ func (r *RLL) handleAck(peer packet.MAC, ack uint32) {
 	for _, enc := range ps.inflight[:advanced] {
 		r.pool.Put(enc) // acked: only clones ever hit the wire
 	}
-	ps.inflight = ps.inflight[advanced:]
+	ps.inflight = dropFront(ps.inflight, int(advanced))
 	ps.base += advanced
 	ps.retries = 0
 	ps.rto = r.cfg.RTO // progress: reset the backoff
@@ -373,14 +377,14 @@ func (r *RLL) handleAck(peer packet.MAC, ack uint32) {
 		ps.timer.Disarm()
 		return
 	}
-	r.armTimer(peer, ps)
+	r.armTimer(ps)
 }
 
-func (r *RLL) armTimer(peer packet.MAC, ps *peerSend) {
+func (r *RLL) armTimer(ps *peerSend) {
 	if ps.rto <= 0 {
 		ps.rto = r.cfg.RTO
 	}
-	ps.timer.Arm(ps.rto, func() { r.timeout(peer, ps) })
+	ps.timer.Arm(ps.rto, ps.onTimer)
 }
 
 // timeout retransmits the whole window (go-back-N).
@@ -395,7 +399,7 @@ func (r *RLL) timeout(peer packet.MAC, ps *peerSend) {
 		// sender forever.
 		r.Stats.GaveUp++
 		r.pool.Put(ps.inflight[0])
-		ps.inflight = ps.inflight[1:]
+		ps.inflight = dropFront(ps.inflight, 1)
 		ps.base++
 		ps.retries = 0
 		// The abandoned frame leaves a hole a live receiver would treat
@@ -420,18 +424,32 @@ func (r *RLL) timeout(peer packet.MAC, ps *peerSend) {
 	if max := 16 * r.cfg.RTO; ps.rto > max {
 		ps.rto = max
 	}
-	r.armTimer(peer, ps)
+	r.armTimer(ps)
 }
 
 // fillWindow admits backlog frames into freed window slots.
 func (r *RLL) fillWindow(ps *peerSend) {
-	for len(ps.backlog) > 0 && len(ps.inflight) < r.cfg.Window {
-		enc := ps.backlog[0]
-		ps.backlog = ps.backlog[1:]
+	admitted := 0
+	for admitted < len(ps.backlog) && len(ps.inflight) < r.cfg.Window {
+		enc := ps.backlog[admitted]
+		admitted++
 		ps.inflight = append(ps.inflight, enc)
 		r.transmit(enc)
 		r.Stats.DataSent++
 	}
+	ps.backlog = dropFront(ps.backlog, admitted)
+}
+
+// dropFront removes the first n frames of q in place. Re-slicing from
+// the front instead would shed capacity, and the window queues would
+// reallocate on a later append.
+func dropFront(q []*ether.Frame, n int) []*ether.Frame {
+	if n == 0 {
+		return q
+	}
+	m := copy(q, q[n:])
+	clear(q[m:])
+	return q[:m]
 }
 
 func (r *RLL) sendAck(peer packet.MAC, ack uint32) {
@@ -511,6 +529,7 @@ func (r *RLL) sendState(peer packet.MAC) *peerSend {
 	ps, ok := r.send[peer]
 	if !ok {
 		ps = &peerSend{timer: sim.NewTimer(r.sched, "rll.rto"), rto: r.cfg.RTO}
+		ps.onTimer = func() { r.timeout(peer, ps) }
 		r.send[peer] = ps
 	}
 	return ps

@@ -58,11 +58,13 @@ func (r *refScheduler) run() {
 }
 
 // schedDriver abstracts the two schedulers behind the operations the
-// workload script needs: schedule-after and cancel-by-handle.
+// workload script needs: schedule-after (closure or bound callback plus
+// argument) and cancel-by-handle.
 type schedDriver struct {
-	after  func(d time.Duration, fn func()) (cancel func())
-	run    func()
-	now    func() time.Duration
+	after    func(d time.Duration, fn func()) (cancel func())
+	afterArg func(d time.Duration, fn func(any), arg any) (cancel func())
+	run      func()
+	now      func() time.Duration
 }
 
 func realDriver() *schedDriver {
@@ -72,6 +74,10 @@ func realDriver() *schedDriver {
 			ev := s.After(d, "w", fn)
 			return ev.Cancel
 		},
+		afterArg: func(d time.Duration, fn func(any), arg any) func() {
+			ev := s.AfterArg(d, "w", fn, arg)
+			return ev.Cancel
+		},
 		run: func() { _ = s.Run() },
 		now: s.Now,
 	}
@@ -79,10 +85,15 @@ func realDriver() *schedDriver {
 
 func refDriver() *schedDriver {
 	r := &refScheduler{}
+	cancelOf := func(ev *refEvent) func() {
+		return func() { ev.cancelled = true; ev.fn = nil }
+	}
 	return &schedDriver{
 		after: func(d time.Duration, fn func()) func() {
-			ev := r.after(d, fn)
-			return func() { ev.cancelled = true; ev.fn = nil }
+			return cancelOf(r.after(d, fn))
+		},
+		afterArg: func(d time.Duration, fn func(any), arg any) func() {
+			return cancelOf(r.after(d, func() { fn(arg) }))
 		},
 		run: func() { r.run() },
 		now: func() time.Duration { return r.now },
@@ -91,12 +102,15 @@ func refDriver() *schedDriver {
 
 // workloadStep drives one event firing of the randomized workload: it may
 // spawn follow-up events, cancel a pending one, or re-arm (cancel+spawn).
+// ViaArg schedules the step's new events through AfterArg with the one
+// pre-bound callback instead of a fresh closure.
 type workloadStep struct {
 	SpawnDelayMs uint8
 	Spawn        bool
 	CancelPick   uint8
 	Cancel       bool
 	Rearm        bool
+	ViaArg       bool
 }
 
 // runWorkload executes the scripted workload against a driver and returns
@@ -112,46 +126,52 @@ func runWorkload(d *schedDriver, seeds []uint8, steps []workloadStep) []int64 {
 	nextID := 0
 	stepIdx := 0
 
-	var schedule func(delay time.Duration)
-	schedule = func(delay time.Duration) {
+	var schedule func(delay time.Duration, viaArg bool)
+	var fire func(id int)
+	fireArg := func(a any) { fire(a.(int)) }
+	schedule = func(delay time.Duration, viaArg bool) {
 		id := nextID
 		nextID++
-		var h handle
-		h.id = id
-		h.cancel = d.after(delay, func() {
-			fired[id] = true
-			trace = append(trace, int64(id), int64(d.now()))
-			if stepIdx >= len(steps) {
-				return
-			}
-			st := steps[stepIdx]
-			stepIdx++
-			if st.Spawn {
-				schedule(time.Duration(st.SpawnDelayMs%32) * time.Millisecond)
-			}
-			// Prune fired handles, then maybe cancel or re-arm one.
-			alive := live[:0]
-			for _, lh := range live {
-				if !fired[lh.id] {
-					alive = append(alive, lh)
-				}
-			}
-			live = alive
-			if len(live) > 0 && (st.Cancel || st.Rearm) {
-				pick := int(st.CancelPick) % len(live)
-				victim := live[pick]
-				victim.cancel()
-				fired[victim.id] = true // treat as dead either way
-				if st.Rearm {
-					schedule(time.Duration(st.SpawnDelayMs%16) * time.Millisecond)
-				}
-			}
-		})
+		h := handle{id: id}
+		if viaArg {
+			h.cancel = d.afterArg(delay, fireArg, id)
+		} else {
+			h.cancel = d.after(delay, func() { fire(id) })
+		}
 		live = append(live, h)
+	}
+	fire = func(id int) {
+		fired[id] = true
+		trace = append(trace, int64(id), int64(d.now()))
+		if stepIdx >= len(steps) {
+			return
+		}
+		st := steps[stepIdx]
+		stepIdx++
+		if st.Spawn {
+			schedule(time.Duration(st.SpawnDelayMs%32)*time.Millisecond, st.ViaArg)
+		}
+		// Prune fired handles, then maybe cancel or re-arm one.
+		alive := live[:0]
+		for _, lh := range live {
+			if !fired[lh.id] {
+				alive = append(alive, lh)
+			}
+		}
+		live = alive
+		if len(live) > 0 && (st.Cancel || st.Rearm) {
+			pick := int(st.CancelPick) % len(live)
+			victim := live[pick]
+			victim.cancel()
+			fired[victim.id] = true // treat as dead either way
+			if st.Rearm {
+				schedule(time.Duration(st.SpawnDelayMs%16)*time.Millisecond, st.ViaArg)
+			}
+		}
 	}
 
 	for _, sd := range seeds {
-		schedule(time.Duration(sd%64) * time.Millisecond)
+		schedule(time.Duration(sd%64)*time.Millisecond, sd&1 == 1)
 	}
 	d.run()
 	return trace
@@ -206,6 +226,44 @@ func TestCancelReleasesCallback(t *testing.T) {
 	}
 	if err := s.Run(); err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// The AtArg form releases its argument on Cancel just as At releases its
+// closure: a cancelled per-frame event must not pin the frame.
+func TestCancelReleasesArg(t *testing.T) {
+	s := NewScheduler(1)
+	frame := make([]byte, 1500)
+	ev := s.AfterArg(time.Hour, "deliver", func(any) {}, &frame)
+	if ev.fnArg == nil || ev.arg == nil {
+		t.Fatal("scheduled event has no bound callback or argument")
+	}
+	ev.Cancel()
+	if ev.fnArg != nil || ev.arg != nil {
+		t.Error("Cancel retained the bound callback or its argument")
+	}
+}
+
+// AfterArg with a callback bound once is the per-frame scheduling idiom
+// of the media and engines: once the free list is warm it must not
+// allocate at all, and the callback must see the argument it was given.
+func TestAfterArgAllocationFree(t *testing.T) {
+	s := NewScheduler(1)
+	type frame struct{ n int }
+	var got *frame
+	deliver := func(a any) { got = a.(*frame) }
+	fr := &frame{n: 7}
+	s.AfterArg(0, "warm", deliver, fr)
+	s.Step()
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.AfterArg(time.Microsecond, "deliver", deliver, fr)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("AfterArg+Step allocates %.1f objects per event, want 0", allocs)
+	}
+	if got != fr {
+		t.Errorf("callback saw %v, want the scheduled argument", got)
 	}
 }
 
@@ -388,6 +446,20 @@ func BenchmarkSchedulerBaselineContainerHeap(b *testing.B) {
 		ev := heap.Pop(&q).(*boxedEvent)
 		now = ev.at
 		ev.fn()
+	}
+}
+
+// BenchmarkSchedulerAfterArg measures the per-frame event pattern of the
+// media: a callback bound once, the frame travelling as the argument.
+func BenchmarkSchedulerAfterArg(b *testing.B) {
+	s := NewScheduler(1)
+	arg := new(int)
+	fn := func(a any) { *a.(*int)++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AfterArg(time.Microsecond, "deliver", fn, arg)
+		s.Step()
 	}
 }
 

@@ -56,9 +56,14 @@ const (
 type Event struct {
 	Name string
 
-	at    time.Duration
-	seq   uint64
-	fn    func()
+	at  time.Duration
+	seq uint64
+	fn  func()
+	// fnArg/arg are the AtArg form: a callback bound once by its owner
+	// and the per-event argument it receives, so a per-frame event
+	// carries its frame without a fresh closure.
+	fnArg func(any)
+	arg   any
 	index int // heap index, -1 once removed
 	state uint8
 	// gen increments every time the struct is recycled for a new
@@ -77,16 +82,16 @@ func (e *Event) Time() time.Duration { return e.at }
 func (e *Event) Cancelled() bool { return e.state == stateCancelled }
 
 // Cancel prevents the event from firing. Cancelling an event that already
-// fired (or was already cancelled) is a no-op. The callback closure is
-// released immediately — state captured by it (a retransmission timer's
-// frame, for instance) does not linger until the event's timestamp is
+// fired (or was already cancelled) is a no-op. The callback closure and
+// any AtArg argument are released immediately — state captured by them
+// (a retransmission timer's frame, for instance) does not linger until the event's timestamp is
 // reached — and the event is removed from the queue right away.
 func (e *Event) Cancel() {
 	if e.state != stateScheduled {
 		return
 	}
 	e.state = stateCancelled
-	e.fn = nil
+	e.fn, e.fnArg, e.arg = nil, nil, nil
 	if e.s != nil && e.index >= 0 {
 		e.s.removeAt(e.index)
 		e.s.recycle(e)
@@ -175,6 +180,26 @@ func (s *Scheduler) AppendSnapshot(sn *metrics.Snapshot) {
 // past (t < Now) is a programming error and fires immediately at Now
 // instead, preserving the clock's monotonicity.
 func (s *Scheduler) At(t time.Duration, name string, fn func()) *Event {
+	ev := s.schedule(t, name)
+	ev.fn = fn
+	return ev
+}
+
+// AtArg schedules fn(arg) at absolute virtual time t. It is the
+// allocation-free form of At for per-frame events: fn is bound once per
+// port, NIC, engine or connection, and arg (typically the *ether.Frame
+// in flight) travels in the event itself instead of in a closure. Event
+// ordering is exactly that of At — one sequence number per call.
+func (s *Scheduler) AtArg(t time.Duration, name string, fn func(any), arg any) *Event {
+	ev := s.schedule(t, name)
+	ev.fnArg = fn
+	ev.arg = arg
+	return ev
+}
+
+// schedule takes a free Event (or allocates one), stamps it with the
+// next sequence number and queues it; the caller sets the callback.
+func (s *Scheduler) schedule(t time.Duration, name string) *Event {
 	if t < s.now {
 		t = s.now
 	}
@@ -192,7 +217,6 @@ func (s *Scheduler) At(t time.Duration, name string, fn func()) *Event {
 	ev.Name = name
 	ev.at = t
 	ev.seq = s.seq
-	ev.fn = fn
 	ev.state = stateScheduled
 	s.push(ev)
 	return ev
@@ -204,6 +228,15 @@ func (s *Scheduler) After(d time.Duration, name string, fn func()) *Event {
 		d = 0
 	}
 	return s.At(s.now+d, name, fn)
+}
+
+// AfterArg schedules fn(arg) d from now (see AtArg). A negative d
+// behaves like zero.
+func (s *Scheduler) AfterArg(d time.Duration, name string, fn func(any), arg any) *Event {
+	if d < 0 {
+		d = 0
+	}
+	return s.AtArg(s.now+d, name, fn, arg)
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -222,7 +255,7 @@ func (s *Scheduler) Reset(seed int64) {
 	}
 	for _, ev := range s.queue {
 		ev.state = stateCancelled
-		ev.fn = nil
+		ev.fn, ev.fnArg, ev.arg = nil, nil, nil
 		ev.index = -1
 		s.free = append(s.free, ev)
 	}
@@ -244,10 +277,14 @@ func (s *Scheduler) Step() bool {
 	ev := s.popMin()
 	s.now = ev.at
 	s.executed++
-	fn := ev.fn
-	ev.fn = nil
+	fn, fnArg, arg := ev.fn, ev.fnArg, ev.arg
+	ev.fn, ev.fnArg, ev.arg = nil, nil, nil
 	ev.state = stateFired
-	fn()
+	if fn != nil {
+		fn()
+	} else {
+		fnArg(arg)
+	}
 	// Recycled only after fn returns: if fn re-arms a timer it must not
 	// be handed the very struct whose firing it is running inside.
 	s.recycle(ev)
@@ -300,7 +337,7 @@ func (s *Scheduler) RunUntil(horizon time.Duration) error {
 // bounded only by the maximum number of concurrently pending events,
 // which the media's finite queues already cap.
 func (s *Scheduler) recycle(ev *Event) {
-	ev.fn = nil
+	ev.fn, ev.fnArg, ev.arg = nil, nil, nil
 	ev.index = -1
 	s.free = append(s.free, ev)
 }

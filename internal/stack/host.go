@@ -143,13 +143,23 @@ func (s *IPStack) RegisterRaw(ethertype uint16, fn func(fr *ether.Frame)) {
 }
 
 // DeliverUp implements Up: it is the final stop of the inbound path.
+// Frames for a raw handler belong to that handler. Every other frame
+// ends its journey here and goes back to the NIC's pool once the
+// transport handler returns: transport callbacks borrow payload slices
+// for the duration of the call and copy whatever they keep.
 func (s *IPStack) DeliverUp(fr *ether.Frame) {
-	et := fr.EtherType()
-	if h, ok := s.rawHandlers[et]; ok {
+	if h, ok := s.rawHandlers[fr.EtherType()]; ok {
 		h(fr)
 		return
 	}
-	if et != packet.EtherTypeIPv4 {
+	s.deliverIP(fr)
+	s.host.NIC.Pool().Put(fr)
+}
+
+// deliverIP validates the IPv4 header and hands the payload to the
+// registered transport handler.
+func (s *IPStack) deliverIP(fr *ether.Frame) {
+	if fr.EtherType() != packet.EtherTypeIPv4 {
 		s.RxNoHandler++
 		return
 	}
@@ -193,7 +203,9 @@ func newUDPStack(h *Host) *UDPStack {
 type UDPSocket struct {
 	stack *UDPStack
 	Port  uint16
-	// OnDatagram is invoked for each datagram received on the port.
+	// OnDatagram is invoked for each datagram received on the port. The
+	// payload is borrowed: it is valid only until OnDatagram returns (the
+	// frame carrying it is then recycled), so copy what must be kept.
 	OnDatagram func(src packet.IP, srcPort uint16, payload []byte)
 }
 
@@ -220,9 +232,10 @@ func (s *UDPSocket) SendTo(dst packet.IP, dstPort uint16, payload []byte) error 
 	if err != nil {
 		return err
 	}
-	fr := packet.BuildUDPFrame(h.MAC, dstMAC, h.IP, dst,
+	fr := h.NIC.Pool().Get(packet.UDPFrameLen(len(payload)))
+	packet.PutUDPFrame(fr.Data, h.MAC, dstMAC, h.IP, dst,
 		packet.UDP{SrcPort: s.Port, DstPort: dstPort}, payload)
-	h.SendFrame(&ether.Frame{Data: fr})
+	h.SendFrame(fr)
 	return nil
 }
 

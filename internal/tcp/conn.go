@@ -33,10 +33,12 @@ func (s *Stats) add(o Stats) {
 	s.DupAcksRcvd += o.DupAcksRcvd
 }
 
+// rtxSeg is one unacknowledged segment: n payload bytes from sequence
+// number seq, whose bytes live in the send buffer, plus the FIN flag.
 type rtxSeg struct {
-	seq  uint32
-	data []byte
-	fin  bool
+	seq uint32
+	n   int
+	fin bool
 }
 
 // Conn is one TCP connection endpoint.
@@ -48,7 +50,9 @@ type Conn struct {
 
 	// OnConnected fires when the handshake completes (both roles).
 	OnConnected func()
-	// OnData fires with each chunk of in-order application data.
+	// OnData fires with each chunk of in-order application data. The
+	// slice is borrowed: it points into the received frame, which is
+	// recycled once OnData returns, so copy what must be kept.
 	OnData func(data []byte)
 	// OnClose fires when the peer's FIN has been consumed.
 	OnClose func()
@@ -63,7 +67,14 @@ type Conn struct {
 	sndNxt uint32
 	rcvNxt uint32
 
+	// sndBuf holds the stream from sequence number sndBase on: first
+	// the bytes of unacknowledged segments (kept for retransmission),
+	// then, from offset sndOff, the bytes not yet sent. The acknowledged
+	// prefix is compacted away only when an append would otherwise grow
+	// the buffer.
 	sndBuf  []byte
+	sndBase uint32
+	sndOff  int
 	rtxQ    []rtxSeg
 	closing bool
 	finSent bool
@@ -82,6 +93,7 @@ type Conn struct {
 	rttValid bool
 
 	rtx        *sim.Timer
+	onRTOFn    func() // c.onRTO, bound once so arming allocates nothing
 	synRetries int
 
 	oo       map[uint32][]byte
@@ -123,15 +135,46 @@ func (c *Conn) LocalPort() uint16 { return c.key.localPort }
 func (c *Conn) RemoteAddr() (packet.IP, uint16) { return c.key.remoteIP, c.key.remotePort }
 
 // BufferedBytes reports unsent application data.
-func (c *Conn) BufferedBytes() int { return len(c.sndBuf) }
+func (c *Conn) BufferedBytes() int { return len(c.sndBuf) - c.sndOff }
 
-// Send appends application data to the send buffer; it is segmented and
-// transmitted as the congestion and receive windows allow.
+// Send copies application data into the send buffer; it is segmented and
+// transmitted as the congestion and receive windows allow. Data sent
+// after the FIN went out is discarded (the stream is closed).
 func (c *Conn) Send(data []byte) {
+	if c.finSent {
+		return
+	}
+	if len(c.sndBuf)+len(data) > cap(c.sndBuf) {
+		c.compactSendBuffer()
+	}
 	c.sndBuf = append(c.sndBuf, data...)
 	if c.state == StateEstablished || c.state == StateCloseWait {
 		c.trySend()
 	}
+}
+
+// compactSendBuffer drops the acknowledged prefix of the send buffer:
+// everything before the oldest unacknowledged segment (or before the
+// first unsent byte when nothing is in flight).
+func (c *Conn) compactSendBuffer() {
+	keep := c.sndBase + uint32(c.sndOff)
+	if len(c.rtxQ) > 0 {
+		keep = c.rtxQ[0].seq
+	}
+	drop := int(keep - c.sndBase)
+	if drop == 0 {
+		return
+	}
+	n := copy(c.sndBuf, c.sndBuf[drop:])
+	c.sndBuf = c.sndBuf[:n]
+	c.sndOff -= drop
+	c.sndBase = keep
+}
+
+// segData returns the buffered payload of an unacknowledged segment.
+func (c *Conn) segData(s rtxSeg) []byte {
+	off := int(s.seq - c.sndBase)
+	return c.sndBuf[off : off+s.n]
 }
 
 // Close flushes buffered data and then sends FIN.
@@ -297,7 +340,7 @@ func (c *Conn) processAck(hdr packet.TCP, hasData bool) {
 		// Drop fully acked retransmission entries.
 		keep := c.rtxQ[:0]
 		for _, s := range c.rtxQ {
-			end := s.seq + uint32(len(s.data))
+			end := s.seq + uint32(s.n)
 			if s.fin {
 				end++
 			}
@@ -459,8 +502,8 @@ func (c *Conn) trySend() {
 	if c.rwnd < wnd {
 		wnd = c.rwnd
 	}
-	for len(c.sndBuf) > 0 && c.inflight() < wnd {
-		n := len(c.sndBuf)
+	for c.sndOff < len(c.sndBuf) && c.inflight() < wnd {
+		n := len(c.sndBuf) - c.sndOff
 		if n > MSS {
 			n = MSS
 		}
@@ -475,12 +518,11 @@ func (c *Conn) trySend() {
 			}
 			n = int(rem)
 		}
-		data := make([]byte, n)
-		copy(data, c.sndBuf[:n])
-		c.sndBuf = c.sndBuf[n:]
+		data := c.sndBuf[c.sndOff : c.sndOff+n]
+		c.sndOff += n
 		seq := c.sndNxt
 		c.sndNxt += uint32(n)
-		c.rtxQ = append(c.rtxQ, rtxSeg{seq: seq, data: data})
+		c.rtxQ = append(c.rtxQ, rtxSeg{seq: seq, n: n})
 		c.emit(seq, data, false)
 		if !c.rttValid {
 			c.rttValid = true
@@ -491,7 +533,7 @@ func (c *Conn) trySend() {
 			c.armRTO()
 		}
 	}
-	if c.closing && !c.finSent && len(c.sndBuf) == 0 {
+	if c.closing && !c.finSent && c.sndOff == len(c.sndBuf) {
 		c.finSent = true
 		seq := c.sndNxt
 		c.sndNxt++
@@ -521,7 +563,7 @@ func (c *Conn) emit(seq uint32, data []byte, isRtx bool) {
 }
 
 func (c *Conn) armRTO() {
-	c.rtx.Arm(c.rto, c.onRTO)
+	c.rtx.Arm(c.rto, c.onRTOFn)
 }
 
 func (c *Conn) onRTO() {
@@ -550,7 +592,7 @@ func (c *Conn) retransmitHead() {
 		}, nil)
 		return
 	}
-	c.emit(s.seq, s.data, true)
+	c.emit(s.seq, c.segData(s), true)
 }
 
 func (c *Conn) fastRetransmit() {

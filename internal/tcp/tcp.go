@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"time"
 
-	"virtualwire/internal/ether"
 	"virtualwire/internal/metrics"
 	"virtualwire/internal/packet"
 	"virtualwire/internal/sim"
@@ -163,6 +162,7 @@ func (s *Stack) newConn(key connKey) *Conn {
 		iss:      s.isn,
 		sndUna:   s.isn,
 		sndNxt:   s.isn,
+		sndBase:  s.isn + 1, // the SYN takes iss; data starts after it
 		cwnd:     1,
 		ssthresh: 64, // segments; effectively "64 KB", per the paper
 		rto:      InitialRTO,
@@ -170,6 +170,7 @@ func (s *Stack) newConn(key connKey) *Conn {
 		oo:       make(map[uint32][]byte),
 	}
 	c.rtx = sim.NewTimer(s.host.Sched, "tcp.rto")
+	c.onRTOFn = c.onRTO
 	s.conns[key] = c
 	return c
 }
@@ -264,7 +265,7 @@ func (s *Stack) AppendSnapshot(sn *metrics.Snapshot) {
 	for _, c := range s.conns {
 		cwnd += c.cwnd
 		ssthresh += c.ssthresh
-		buffered += len(c.sndBuf)
+		buffered += c.BufferedBytes()
 	}
 	sn.Gauge("conns", float64(len(s.conns)))
 	sn.Gauge("cwnd_segments", float64(cwnd))
@@ -278,6 +279,9 @@ func (s *Stack) sendRaw(dst packet.IP, hdr packet.TCP, data []byte) {
 		return
 	}
 	hdr.Window = DefaultWindow
-	fr := packet.BuildTCPFrame(s.host.MAC, mac, s.host.IP, dst, hdr, data)
-	s.host.SendFrame(&ether.Frame{Data: fr})
+	// The segment is written in place into a pooled frame; data (a
+	// slice of a send buffer) is copied, never retained.
+	fr := s.host.NIC.Pool().Get(packet.TCPFrameLen(len(data)))
+	packet.PutTCPFrame(fr.Data, s.host.MAC, mac, s.host.IP, dst, hdr, data)
+	s.host.SendFrame(fr)
 }

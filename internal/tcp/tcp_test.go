@@ -61,8 +61,15 @@ type pair struct {
 // between NIC and IP on the respective hosts.
 func newPair(t testing.TB, seed int64, layers1, layers2 []stack.Layer) *pair {
 	t.Helper()
+	return newPooledPair(t, seed, nil, layers1, layers2)
+}
+
+// newPooledPair is newPair with the switch and both hosts drawing frames
+// from pool (nil: plain allocation, no recycling).
+func newPooledPair(t testing.TB, seed int64, pool *ether.FramePool, layers1, layers2 []stack.Layer) *pair {
+	t.Helper()
 	s := sim.NewScheduler(seed)
-	sw := ether.NewSwitch(s, ether.SwitchConfig{})
+	sw := ether.NewSwitch(s, ether.SwitchConfig{Pool: pool})
 	h1 := stack.NewHost(s, "node1", packet.MAC{0, 0, 0, 0, 0, 1}, packet.IP{192, 168, 1, 1})
 	h2 := stack.NewHost(s, "node2", packet.MAC{0, 0, 0, 0, 0, 2}, packet.IP{192, 168, 1, 2})
 	for _, h := range []*stack.Host{h1, h2} {

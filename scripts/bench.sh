@@ -8,9 +8,9 @@
 # Usage: scripts/bench.sh [benchtime] [baseline]
 #   benchtime  -benchtime iteration spec (default 2s of wall time per bench).
 #   baseline   optional checkout of a comparison commit carrying the same
-#              campaign-suite benchmarks; each BENCH_campaign.json entry
-#              then also records that checkout's figures under "before",
-#              measured back to back on the same machine.
+#              benchmarks; each BENCH_core.json and BENCH_campaign.json
+#              entry then also records that checkout's figures under
+#              "before", measured back to back on the same machine.
 #
 # See docs/PERFORMANCE.md for how to interpret the numbers and for the
 # recorded before/after history of the allocation overhaul.
@@ -82,13 +82,22 @@ RAW="$(mktemp)"
 BASE_RAW="$(mktemp)"
 trap 'rm -f "$RAW" "$BASE_RAW"' EXIT
 
-{
-    run_bench ./internal/sim 'BenchmarkScheduler'
-    run_bench ./internal/core 'BenchmarkClassifier'
-    run_bench ./internal/ether 'BenchmarkBusForwarding'
-    run_bench . 'BenchmarkEngineInterception|BenchmarkFig5Scenario|BenchmarkFig6Scenario|BenchmarkTopology|BenchmarkSharded'
-} > "$RAW"
-emit_json "$RAW" BENCH_core.json
+# The layer and scenario benchmarks: scheduler, classifier, frame path,
+# per-packet engine interception, the Figure 5/6 scenarios, the Figure 7
+# sweep (the per-packet hot path end to end) and the 1000-host builds.
+core_suite() { # $1 = checkout to run in
+    run_bench ./internal/sim 'BenchmarkScheduler' "$1"
+    run_bench ./internal/core 'BenchmarkClassifier' "$1"
+    run_bench ./internal/ether 'BenchmarkBusForwarding' "$1"
+    run_bench . 'BenchmarkEngineInterception|BenchmarkFig5Scenario|BenchmarkFig6Scenario|BenchmarkFig7Throughput|BenchmarkTopology|BenchmarkSharded' "$1"
+}
+core_suite . > "$RAW"
+if [ -n "$BASELINE" ]; then
+    core_suite "$BASELINE" > "$BASE_RAW"
+    emit_json "$RAW" BENCH_core.json "$BASE_RAW"
+else
+    emit_json "$RAW" BENCH_core.json
+fi
 
 # Campaign throughput: whole 16-run matrices per iteration — serial, the
 # default worker pool, and the fixed 2/4/8-worker scaling curve

@@ -17,6 +17,16 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== go test -tags framepoison (use-after-recycle) =="
+# Delivered frames go back to the frame pool as soon as the IP layer is
+# done with them. In a framepoison build FramePool.Put overwrites every
+# recycled buffer with a fixed pattern, so any code that still reads a
+# frame after handing it back changes bytes. The byte-identity suites
+# (root facade goldens, campaign record streams, the pinned vwregress
+# output) and the internal packages then fail instead of passing on
+# plausible stale data.
+go test -tags framepoison . ./campaign/... ./cmd/vwregress ./internal/...
+
 echo "== campaign smoke (-race, small matrix) =="
 # An end-to-end campaign through the real CLI: 8 runs (4 seeds x 2 bit
 # error rates) of the quickstart drop scenario on 4 workers, under the
@@ -255,10 +265,11 @@ echo "== campaign allocation gate =="
 # long-lived worker testbeds between runs; if a change quietly reverts to
 # per-run testbed construction (or re-introduces reflection/gob on the
 # record path), allocations jump an order of magnitude. Gate on the
-# serial 16-run benchmark: 3,529 allocs/op since the flat record path
-# (5,692 before it, 45k before the reuse pipeline); the limit leaves 25 %
-# headroom. Allocation counts are deterministic, so a short run suffices.
-ALLOC_LIMIT=4400
+# serial 16-run benchmark: 1,833 allocs/op since the allocation-free
+# packet path (3,529 after the flat record path, 5,692 before it, 45k
+# before the reuse pipeline); the limit leaves 25 % headroom. Allocation
+# counts are deterministic, so a short run suffices.
+ALLOC_LIMIT=2292
 ALLOCS="$(go test -run '^$' -bench 'BenchmarkCampaignSerial$' -benchmem -benchtime 3x ./campaign \
     | awk '/^BenchmarkCampaignSerial/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i - 1) }')"
 if [ -z "$ALLOCS" ]; then
@@ -270,6 +281,26 @@ if [ "$ALLOCS" -gt "$ALLOC_LIMIT" ]; then
     exit 1
 fi
 echo "campaign allocations: $ALLOCS allocs/op (limit $ALLOC_LIMIT)"
+
+echo "== Figure 7 packet-path allocation gate =="
+# The Figure 7 sweep is the per-packet hot path: delivered frames recycle,
+# TCP builds segments in pooled buffers and per-frame events carry their
+# frame through pre-bound callbacks. 3,849 allocs/op since then (449k
+# before); what is left is building the sweep's fresh testbeds. The
+# limit leaves 25 % headroom: one allocation creeping back into the
+# per-packet path adds thousands.
+FIG7_ALLOC_LIMIT=4812
+FIG7_ALLOCS="$(go test -run '^$' -bench 'BenchmarkFig7Throughput$' -benchmem -benchtime 3x . \
+    | awk '/^BenchmarkFig7Throughput/ { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i - 1) }')"
+if [ -z "$FIG7_ALLOCS" ]; then
+    echo "Figure 7 allocation gate: failed to measure allocs/op" >&2
+    exit 1
+fi
+if [ "$FIG7_ALLOCS" -gt "$FIG7_ALLOC_LIMIT" ]; then
+    echo "Figure 7 allocations regressed: $FIG7_ALLOCS allocs/op (limit $FIG7_ALLOC_LIMIT)" >&2
+    exit 1
+fi
+echo "Figure 7 allocations: $FIG7_ALLOCS allocs/op (limit $FIG7_ALLOC_LIMIT)"
 
 echo "== record encode allocation gate =="
 # The collector encodes every record into one reused line buffer; the

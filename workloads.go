@@ -129,6 +129,8 @@ func (w *TCPBulk) pace(tb *Testbed, started time.Duration) {
 	if perTick <= 0 {
 		perTick = 1
 	}
+	// Send copies, so one zero buffer serves every tick.
+	zeros := make([]byte, perTick)
 	var step func()
 	step = func() {
 		if w.failed || w.closed {
@@ -141,7 +143,7 @@ func (w *TCPBulk) pace(tb *Testbed, started time.Duration) {
 			return
 		}
 		if w.conn.BufferedBytes() < maxBuffered {
-			w.conn.Send(make([]byte, perTick))
+			w.conn.Send(zeros)
 		}
 		tb.sched.After(tick, "tcpbulk.pace", step)
 	}
@@ -211,6 +213,7 @@ func (w *TCPBulk) paceSharded(sched *sim.Scheduler, started time.Duration) {
 	if perTick <= 0 {
 		perTick = 1
 	}
+	zeros := make([]byte, perTick) // Send copies; see pace
 	var step func()
 	step = func() {
 		if w.failed || w.clientClosed {
@@ -224,7 +227,7 @@ func (w *TCPBulk) paceSharded(sched *sim.Scheduler, started time.Duration) {
 			return
 		}
 		if w.conn.BufferedBytes() < maxBuffered {
-			w.conn.Send(make([]byte, perTick))
+			w.conn.Send(zeros)
 		}
 		sched.After(tick, "tcpbulk.pace", step)
 	}
@@ -353,6 +356,9 @@ func (w *UDPEcho) start(tb *Testbed) error {
 		w.rtts = append(w.rtts, rtt)
 		rttHist.Observe(rtt.Seconds())
 	}
+	// SendTo copies the payload into the frame, so one buffer serves
+	// every ping.
+	payload := make([]byte, w.cfg.Size)
 	var ping func()
 	ping = func() {
 		if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
@@ -360,7 +366,6 @@ func (w *UDPEcho) start(tb *Testbed) error {
 		}
 		w.sent++
 		seq := uint64(w.sent)
-		payload := make([]byte, w.cfg.Size)
 		binary.BigEndian.PutUint64(payload, seq)
 		w.pending[seq] = tb.sched.Now()
 		_ = cli.SendTo(server.host.IP, w.cfg.ServerPort, payload)
@@ -406,6 +411,7 @@ func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
 		rttHist.Observe(rtt.Seconds())
 	}
 	run := func() {
+		payload := make([]byte, w.cfg.Size) // reused; see start
 		var ping func()
 		ping = func() {
 			if w.cfg.Count > 0 && w.sent >= w.cfg.Count {
@@ -413,7 +419,6 @@ func (w *UDPEcho) parts(tb *Testbed) ([]workloadPart, error) {
 			}
 			w.sent++
 			seq := uint64(w.sent)
-			payload := make([]byte, w.cfg.Size)
 			binary.BigEndian.PutUint64(payload, seq)
 			w.pending[seq] = sched.Now()
 			_ = cli.SendTo(server.host.IP, w.cfg.ServerPort, payload)
